@@ -81,10 +81,32 @@ def chain_embedding():
                            {("node", "node"): "inner/wrap"})
 
 
+#: The stream workload's source schema: a log of days, each a star of
+#: entries.  Under its expansion the streamer streams the root and every
+#: ``day`` as star frames and buffers each ``entry`` (a concat of
+#: strings, a disjunction and a nested star) on its own.
+STREAM_SCHEMA = """
+log -> day*
+day -> entry*
+entry -> stamp, level, body, tags
+stamp -> str
+level -> info + warn + error
+info -> eps
+warn -> eps
+error -> str
+body -> str
+tags -> tag*
+tag -> str
+"""
+
+
 def stream_embedding():
-    """A 60-type schema whose root is a star (``t0 -> t1*``), so the
-    streamer emits one fragment at a time."""
-    return expand_schema(random_dtd(60, seed=1), seed=3).embedding
+    """The stream schema expanded into a target whose ``log`` and
+    ``day`` images stream (other expansion seeds wrap the star
+    instances, and the streamer then buffers every ``day`` whole)."""
+    source = load_schema(STREAM_SCHEMA, format="compact", name="log")
+    return expand_schema(source, seed=7, wrap_max=2,
+                         junk_prob=0.1).embedding
 
 
 def digest(outputs) -> str:
@@ -267,7 +289,6 @@ class Inputs:
     stream_bytes: int = 0
     stream_fragments: int = 0
     stream_prefix_path: Optional[Path] = None
-    stream_prefix_fragments: int = 0
     stream_expected_chars: int = 0
     stream_expected_head: str = ""
     stream_prefix_ok: bool = False
@@ -372,7 +393,7 @@ def _make_corpus(inputs: Inputs, work: Path, count: int,
 
 def stream_document(path: Path, target_bytes: int, rng: random.Random
                     ) -> tuple[str, int, int, int]:
-    """Write ``<t0>`` + a block of generated fragments repeated until
+    """Write ``<log>`` + a block of generated fragments repeated until
     the file reaches ``target_bytes``; only one block is ever held in
     memory.  Returns (block, fragments per block, bytes written,
     block repeats)."""
@@ -418,7 +439,6 @@ def _make_stream(inputs: Inputs, work: Path, target: int,
     prefix = f"<{root}>\n" + block + f"</{root}>\n"
     inputs.stream_prefix_path = work / "stream-prefix.xml"
     inputs.stream_prefix_path.write_text(prefix)
-    inputs.stream_prefix_fragments = per_block
     # The streamer must agree with the buffered path where buffering is
     # cheap; on the whole document each extra block adds exactly the
     # characters the second block added here.

@@ -1,14 +1,19 @@
-"""The job workloads, run in a child process so their memory is the
-program's alone.
+"""The job workloads, each job run in a child process of its own, as one
+CLI invocation would run it, so its memory is the program's alone.
 
-``python3 perfbench/jobs.py SPEC.json`` repeats one job until the
-spec's time is up and writes per-job timings to ``SPEC.json.out``:
+``python3 perfbench/jobs.py SPEC.json`` runs one job and writes its
+timing (and, traced, its spans) to ``SPEC.json.out``:
 
 * ``batch`` — what ``repro batch map --jobs 2 --store S`` runs:
   ``ParallelRunner(jobs=2, store=S).map_corpus`` over an NDJSON corpus,
   the outputs written to disk;
 * ``stream`` — what ``repro map --stream --out O`` runs:
   ``stream_map_to_path(InstMap(σ), O, path=doc)``.
+
+A fresh process per job also keeps the peak RSS a property of one job:
+a second batch job in the same process peaks ~35 % higher than the
+first in some runs and not in others (how the allocator reuses the
+first job's freed outputs).
 
 Each job writes one output file of its own, never over an earlier one,
 and each file is deleted seconds after it was written, before the
@@ -48,43 +53,60 @@ def _run(spec: dict) -> dict:
             else lambda name: contextlib.nullcontext())
     sigma = ArtifactStore(spec["store"], create=False).get_embedding(
         spec["embedding"])
+    output = Path(spec["output"])
+    begin = time.perf_counter()
+    if spec["kind"] == "batch":
+        with span("job"):
+            with span("job.map_corpus"):
+                outcomes = ParallelRunner(
+                    jobs=2, store=spec["store"]).map_corpus(
+                        sigma, spec["corpus"])
+            with span("job.write"):
+                with open(output, "w") as handle:
+                    for outcome in outcomes:
+                        if outcome.ok:
+                            handle.write(outcome.output + "\n")
+        job = {"seconds": time.perf_counter() - begin,
+               "failed": sum(not o.ok for o in outcomes),
+               "digest": digest(o.output for o in outcomes)}
+    else:
+        with span("job"):
+            stats = stream_map_to_path(InstMap(sigma), output,
+                                       path=spec["doc"])
+        job = {"seconds": time.perf_counter() - begin,
+               "chars_out": stats.chars_out,
+               "whole_document": stats.whole_document}
+    job["spans"] = [[s.name, s.start, s.end] for s in recorder.spans]
+    return job
+
+
+def run_jobs(spec: dict, work: Path) -> tuple[dict, float]:
+    """Run jobs, one child each, until ``spec["seconds"]`` have passed
+    and at least ``spec["min_jobs"]`` ran (never past
+    ``spec["max_seconds"]``).  Only the last job's output file is kept,
+    for the caller's check.  Returns ({"jobs": [...], "spans": [...]},
+    peak RSS MB of every child and every process it reaped)."""
     out = Path(spec["out"])
     out.mkdir(parents=True, exist_ok=True)
-    jobs = []
+    env = dict(os.environ, TMPDIR=str(work))
+    name = "corpus" if spec["kind"] == "batch" else "stream"
+    jobs: list[dict] = []
+    spans: list = []
     previous = None
     started = time.perf_counter()
     while True:
-        begin = time.perf_counter()
-        if spec["kind"] == "batch":
-            output = out / f"corpus-{len(jobs)}.mapped.xml"
-            with span("job"):
-                with span("job.map_corpus"):
-                    outcomes = ParallelRunner(
-                        jobs=2, store=spec["store"]).map_corpus(
-                            sigma, spec["corpus"])
-                with span("job.write"):
-                    with open(output, "w") as handle:
-                        for outcome in outcomes:
-                            if outcome.ok:
-                                handle.write(outcome.output + "\n")
-            end = time.perf_counter()
-            jobs.append({"seconds": end - begin,
-                         "failed": sum(not o.ok for o in outcomes),
-                         "digest": digest(o.output for o in outcomes)})
-            # One job's outputs at a time, as in one CLI invocation.
-            del outcomes
-        else:
-            output = out / f"stream-{len(jobs)}.mapped.xml"
-            with span("job"):
-                stats = stream_map_to_path(InstMap(sigma), output,
-                                           path=spec["doc"])
-            end = time.perf_counter()
-            jobs.append({"seconds": end - begin,
-                         "chars_out": stats.chars_out,
-                         "fragments_buffered": stats.fragments_buffered,
-                         "whole_document": stats.whole_document})
-        # Only the last output is kept (for the parent's check); the one
-        # before goes now, seconds after it was written.
+        output = out / f"{name}-{len(jobs)}.mapped.xml"
+        path = work / f"job-{time.monotonic_ns()}.json"
+        path.write_text(json.dumps(dict(spec, output=str(output))))
+        subprocess.run([sys.executable, str(HERE / "jobs.py"), str(path)],
+                       cwd=spec["root"], env=env, check=True,
+                       stdin=subprocess.DEVNULL,
+                       timeout=spec["max_seconds"] + 120)
+        job = json.loads(Path(f"{path}.out").read_text())
+        spans += job.pop("spans")
+        jobs.append(job)
+        # The output before this one goes now, seconds after it was
+        # written.
         if previous is not None:
             previous.unlink()
         previous = output
@@ -93,23 +115,8 @@ def _run(spec: dict) -> dict:
                 elapsed >= spec["seconds"]
                 and len(jobs) >= spec["min_jobs"]):
             break
-    return {"jobs": jobs,
-            "spans": [[s.name, s.start, s.end] for s in recorder.spans]}
-
-
-def run_jobs(spec: dict, work: Path) -> tuple[dict, float]:
-    """Run the job loop in a child; returns (its result, peak RSS MB of
-    the child and every process it reaped)."""
-    path = work / f"jobs-{time.monotonic_ns()}.json"
-    path.write_text(json.dumps(spec))
-    env = dict(os.environ, TMPDIR=str(work))
-    subprocess.run([sys.executable, str(HERE / "jobs.py"), str(path)],
-                   cwd=spec["root"], env=env, check=True,
-                   stdin=subprocess.DEVNULL,
-                   timeout=spec["max_seconds"] + 120)
-    result = json.loads(Path(f"{path}.out").read_text())
     peak_kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-    return result, peak_kb / 1024
+    return {"jobs": jobs, "spans": spans}, peak_kb / 1024
 
 
 if __name__ == "__main__":

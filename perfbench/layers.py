@@ -8,7 +8,8 @@ public functions, on this run's seeded inputs:
   ``dispatch`` and ``encode`` are timed, and the transport share of a
   request is its client round trip minus its ``dispatch`` replay;
 * ``xtree`` — ``parse_xml``, ``iter_events_path``, ``to_string``;
-* ``engine`` — the generated codec's ``map_tree``, ``Engine.invert``,
+* ``engine`` — the generated codec's ``map_tree`` (and the fallback
+  splices it makes), ``Engine.invert``,
   ``Engine.translate_query`` (miss, then hit), ``stream_map_to_path``,
   ``iter_corpus`` and ``ParallelRunner`` at one and two jobs;
 * ``xpath`` / ``anfa`` — ``parse_xr`` and ``canonical_describe``;
@@ -20,7 +21,9 @@ from __future__ import annotations
 import json
 import random
 import statistics
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator
 
 from repro.core.instmap import InstMap
 from repro.engine import (
@@ -113,21 +116,45 @@ def serve_layers(store: Path, traffic, recorder: Recorder) -> dict:
             "serve.encode_ms": recorder.median_ms("serve.encode")}
 
 
+@contextmanager
+def counting(obj, method: str) -> Iterator[list]:
+    """Count calls to ``obj.method`` through an instance attribute that
+    shadows the method until the block ends; yields ``[calls]``."""
+    calls = [0]
+    original = getattr(obj, method)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    setattr(obj, method, counted)
+    try:
+        yield calls
+    finally:
+        delattr(obj, method)
+
+
 def document_layers(inputs: Inputs, recorder: Recorder) -> dict:
+    """Parse, codec, invert and serialize on the run's documents.  The
+    codec serves a fragment whose shape it has no static code for by a
+    fallback splice (``InstMap.fragment_pairs``), which goes to the
+    reference builder (``InstMap.build_fragment``) when the compiled
+    plane cannot serve the shape either; both are counted."""
     engine = Engine()
     sigma = inputs.embeddings["doc"]
     compiled = engine.compile_embedding(sigma, ensure_valid=True)
     codec = compiled.codec
-    program = compiled.instmap._program
-    fallbacks_before = program.reference_fallbacks
-    parsed_bytes = out_bytes = 0
-    for doc in inputs.docs:
-        with recorder.span("xtree.parse"):
-            tree = parse_xml(doc)
-        with recorder.span("engine.codec"):
-            out_bytes += len(codec.map_tree(tree))
-        parsed_bytes += len(doc)
-        compiled.apply(tree)
+    parsed_bytes = out_bytes = static = 0
+    with counting(compiled.instmap, "fragment_pairs") as splices, \
+            counting(compiled.instmap, "build_fragment") as references:
+        for doc in inputs.docs:
+            with recorder.span("xtree.parse"):
+                tree = parse_xml(doc)
+            before = splices[0]
+            with recorder.span("engine.codec"):
+                out_bytes += len(codec.map_tree(tree))
+            static += splices[0] == before
+            parsed_bytes += len(doc)
     for i in inputs.invert_ids:
         target = parse_xml(inputs.mapped[i])
         with recorder.span("engine.invert"):
@@ -143,10 +170,9 @@ def document_layers(inputs: Inputs, recorder: Recorder) -> dict:
         "engine.codec_out_mb_s": out_bytes / recorder.total("engine.codec")
         / 1e6,
         "engine.invert_ms": recorder.median_ms("engine.invert"),
-        # Documents whose /v1/map runs through the generated codec.
-        "engine.codec_share": 1.0 if codec is not None else 0.0,
-        "engine.reference_fallbacks": float(program.reference_fallbacks
-                                            - fallbacks_before),
+        # Documents the codec maps without a single fallback splice.
+        "engine.codec_share": static / len(inputs.docs),
+        "engine.reference_fallbacks": float(references[0]),
     }
 
 
@@ -190,14 +216,10 @@ def query_layers(inputs: Inputs, recorder: Recorder) -> dict:
 def stream_layers(inputs: Inputs, work: Path, recorder: Recorder) -> dict:
     """Event parsing vs the whole streamed map, on the stream workload's
     bufferable prefix (or a document of the same shape)."""
-    if inputs.stream_prefix_path is not None:
-        path, fragments = (inputs.stream_prefix_path,
-                           inputs.stream_prefix_fragments)
-    else:
+    path = inputs.stream_prefix_path
+    if path is None:
         path = work / "sweep-stream.xml"
-        _, per_block, _, repeats = stream_document(
-            path, SWEEP_STREAM_BYTES, random.Random(inputs.seed))
-        fragments = per_block * repeats
+        stream_document(path, SWEEP_STREAM_BYTES, random.Random(inputs.seed))
     size = path.stat().st_size
     instmap = InstMap(stream_embedding())
     for _ in range(3):
@@ -209,10 +231,14 @@ def stream_layers(inputs: Inputs, work: Path, recorder: Recorder) -> dict:
                                        path=path)
     events = recorder.median_ms("xtree.events") / 1e3
     streamed = recorder.median_ms("engine.stream") / 1e3
+    # Every fragment the streamer handled: star frames streamed live,
+    # Empty subtrees skipped, and the fragments it buffered.
+    handled = (stats.frames_streamed + stats.subtrees_skipped
+               + stats.fragments_buffered)
     return {"xtree.events_mb_s": size / events / 1e6,
             "engine.stream_self_mb_s": size / (streamed - events) / 1e6,
             "engine.fragments_buffered_share":
-                stats.fragments_buffered / fragments}
+                stats.fragments_buffered / handled}
 
 
 def pool_layers(inputs: Inputs, store: Path, work: Path,

@@ -3,10 +3,12 @@
 ``serve-docs`` and ``serve-queries`` send HTTP requests to a
 ``repro serve`` daemon; ``batch-corpus`` and ``stream-large`` run the
 functions behind ``repro batch map --jobs 2`` and
-``repro map --stream --out`` in a child process.  Every workload
-reports every end-to-end metric: the endpoint medians a workload's own
-traffic lacks come from a short fixed side list of HTTP requests (the
-job workloads send it to a daemon set up after their jobs).
+``repro map --stream --out`` in a child process.  Every run reports
+every end-to-end metric (untraced) or every per-layer metric (traced),
+whatever its workload: the endpoint medians and serve layers a
+workload's own traffic lacks come from a short fixed side list of HTTP
+requests (the job workloads send it to a daemon set up after their
+jobs, outside their ``setup_s``).
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ END_TO_END = (
 )
 ENDPOINTS = ("map", "invert", "translate", "evolve")
 #: Set-up runs this many times per run; ``setup_s`` is the median.
-SETUP_REPEATS = 3
+SETUP_REPEATS = 5
 #: p99 needs ten samples beyond it.  At the seed's ~46 requests/s a
 #: serve run is bound by this count, and 1000 requests of serve-docs
 #: cycle its 250 map and 50 invert bodies a whole number of times.
