@@ -241,12 +241,11 @@ def _load_embedding(args: argparse.Namespace) -> SchemaEmbedding:
 
 
 def _cmd_map(args: argparse.Namespace) -> int:
-    embedding = _load_embedding(args)
+    instmap = InstMap(_load_embedding(args))
     if args.stream:
-        # Drive σd straight from parser events: memory is bounded by
-        # the largest buffered fragment, not the document.  Output is
+        # Drive the codec straight from parser events: memory is bounded
+        # by the largest buffered instance, not the document.  Output is
         # byte-identical to the buffered path below.
-        instmap = InstMap(embedding)
         if args.out:
             stats = stream_map_to_path(instmap, args.out,
                                        path=args.document)
@@ -261,9 +260,7 @@ def _cmd_map(args: argparse.Namespace) -> int:
               f"{stats.fragments_buffered} fragment(s) buffered",
               file=sys.stderr)
         return 0
-    document = parse_xml(Path(args.document).read_text())
-    result = InstMap(embedding).apply(document)
-    output = to_string(result.tree)
+    output = instmap.map_text(Path(args.document).read_text())
     if args.out:
         Path(args.out).write_text(output + "\n")
     else:

@@ -42,6 +42,8 @@ from repro.dtd.model import (
 )
 from repro.xpath.paths import PathInfo
 from repro.xtree.nodes import ElementNode, TextNode
+from repro.xtree.parser import parse_xml
+from repro.xtree.serialize import to_string
 
 _SlotKey = Hashable
 
@@ -70,7 +72,9 @@ class InstMap:
     per-source-type **mapping programs** of
     :mod:`repro.engine.plan` — flat instruction sequences with slot
     keys, path-step templates and mindef padding resolved at compile
-    time.  :meth:`apply` interprets the programs iteratively; the
+    time.  :meth:`apply` interprets the programs iteratively, and
+    :meth:`map_text` renders text through the generated :attr:`codec`
+    that specialises them; the
     reference builder (:class:`_FragmentBuilder`) is kept both as the
     per-fragment fallback for documents whose shape the static program
     does not cover and as the oracle for the fast-path equivalence
@@ -92,6 +96,8 @@ class InstMap:
         # Pre-classify every edge path once.
         self._infos: dict[EdgeKey, PathInfo] = {
             key: embedding.info(key) for key, _ in embedding.edge_keys()}
+        # The generated codec: None until first use, False if refused.
+        self._codec = None
         # Compile the document-plane fast path (lazy import: the engine
         # package imports this module).
         # lint: allow-lazy-import — breaks the instmap<->plan cycle
@@ -142,6 +148,48 @@ class InstMap:
             fragment = _FragmentBuilder(self, image)
             hot.extend(fragment.build(source_node, id_map))
         return MappingResult(target_root, id_map)
+
+    def map_text(self, text: str) -> str:
+        """Serialized ``σd`` of an XML text through the generated
+        :attr:`codec` — byte-identical to
+        ``to_string(self.apply(parse_xml(text)).tree)``, which serves
+        embeddings the codec generator refuses."""
+        codec = self.codec
+        if codec is not None:
+            return codec.map_text(text)
+        return to_string(self.apply(parse_xml(text)).tree)
+
+    @property
+    def codec(self):
+        """The generated codec bound to this InstMap (parse, map and
+        serialize fused; the text executor), or ``None`` when the
+        generator refuses the embedding's shape.  Generated at most once
+        per InstMap; warm starts attach cached source instead
+        (:meth:`attach_codec`)."""
+        if self._codec is None:
+            # lint: allow-lazy-import — the engine package imports this module
+            from repro.engine.codegen import CodecError, generate_codec
+
+            try:
+                self._codec = generate_codec(
+                    self, source_fingerprint=self.source.fingerprint(),
+                    target_fingerprint=self.target.fingerprint(),
+                    embedding_fingerprint=self.embedding.fingerprint())
+            except CodecError:
+                self._codec = False  # shape refused: no codec
+        return self._codec or None
+
+    def attach_codec(self, source: str) -> None:
+        """Bind codec source cached in an artifact store instead of
+        generating it.  Source of another codec layout is ignored; the
+        codec is then generated on first use."""
+        # lint: allow-lazy-import — the engine package imports this module
+        from repro.engine.codegen import CodecError, compile_codec
+
+        try:
+            self._codec = compile_codec(source, self)
+        except CodecError:
+            self._codec = None
 
     def build_fragment(self, image: ElementNode, source_node: ElementNode,
                        id_map: dict[int, int],

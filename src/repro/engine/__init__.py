@@ -3,7 +3,7 @@ persist/parallelise the compiled artifacts.
 
 * :mod:`repro.engine.compiled` — :class:`CompiledSchema` and
   :class:`CompiledEmbedding`, the immutable per-fingerprint artifacts;
-* :mod:`repro.engine.plan` — the document-plane fast path:
+* :mod:`repro.engine.plan` — the document plane's tree executors:
   :class:`MappingProgram` / :class:`InverseProgram`, flat per-type
   instruction sequences interpreted without recursion (byte-identical
   to the reference InstMap / inverse walkers);
@@ -20,12 +20,14 @@ persist/parallelise the compiled artifacts.
   corpus fan-out across a pool of warm-started worker engines;
 * :mod:`repro.engine.corpus` — streaming corpus I/O (directories,
   NDJSON files, single documents);
-* :mod:`repro.engine.stream` — the streaming document plane: σd driven
-  directly from parser events, emitting serialized output incrementally
-  with memory bounded by the largest buffered fragment;
-* :mod:`repro.engine.codegen` — generated per-schema codecs: the flat
-  mapping program specialised to Python source (parse→map→serialize
-  fused), compiled once and cached in the artifact store.
+* :mod:`repro.engine.stream` — the streaming document plane: the
+  generated codec driven piecewise from parser events, emitting
+  serialized output incrementally with memory bounded by the largest
+  buffered instance;
+* :mod:`repro.engine.codegen` — generated per-schema codecs, the one
+  text executor: the flat mapping program specialised to Python source
+  (parse→map→serialize fused), compiled once and cached in the
+  artifact store.
 """
 
 from repro.engine.codegen import (

@@ -1,8 +1,8 @@
-"""Generated per-schema codecs — map + serialize fused into Python.
+"""Generated per-schema codecs — the text executor for ``σd``.
 
 The interpreter (:mod:`repro.engine.plan`) runs one generic loop over
-flat instructions and then serializes the materialised target tree.
-For a fixed compiled embedding none of that genericity is needed: the
+flat instructions and materialises a target tree (with ``idM``); text
+output needs neither.  For a fixed compiled embedding the
 per-production dispatch, the static mindef padding, element forms
 (``<t/>`` vs inline vs multiline) and the serializer's pad/escape work
 are all decidable from the instruction stream at *generation* time.
@@ -13,17 +13,23 @@ per source type appending prerendered static text blocks and pushing
 work items for hot children onto an explicit stack (no recursion — the
 generated module is iterative by construction).  ``map_tree(root)``
 returns the serialized target document directly; no target tree is
-ever allocated on the fast path.
+ever allocated.  Every text path runs this module: ``map_text``
+(``Engine.map_text``, ``/v1/map``, ``repro map``, batch corpora) and
+the streaming executor (:mod:`repro.engine.stream`), which drives its
+``run`` loop, per-star head/tail blocks and per-instance body
+functions piecewise from parser events.
 
 Byte-identity is inherited, not re-proven: static blocks are rendered
 through :func:`repro.xtree.serialize.iter_serialized` over trees built
-from the very instruction streams ``MappingProgram._run`` executes,
-text escaping *is* ``escape_text``, and every dynamic shape the
-interpreter serves through the reference ``_FragmentBuilder``
-(concat arity/tag mismatches, zero-instance stars) is routed through
-:func:`_codec_fallback`, which builds the same reference fragment and
-splices its bytes into the output stream.  Codecs fix ``indent=2``
-(the serializer default used across Engine, CLI and serve).
+from the very instruction streams ``MappingProgram._run`` executes (a
+star without instances renders its ``empty_ops``), text escaping *is*
+``escape_text``, and the one shape the static code does not cover — a
+concat node whose children do not match its production — is routed
+through :func:`_codec_fallback`, which builds that fragment through
+the sparse-concat plane (or the reference builder, for its exact
+error) and splices its bytes into the output stream.  Codecs fix
+``indent=2`` (the serializer default used across Engine, CLI and
+serve).
 
 Determinism: generated source is a pure function of the embedding —
 handlers are numbered after sorting source type names, dispatch dict
@@ -51,14 +57,17 @@ from repro.engine.plan import (
     _pause_gc,  # noqa: F401  (codec runtime)
     _resume_gc,  # noqa: F401  (codec runtime)
 )
-from repro.engine.stream import _sever
-from repro.xtree.nodes import ElementNode, TextNode
+from repro.xtree.nodes import ElementNode, TextNode, sever
 from repro.xtree.parser import parse_xml  # noqa: F401  (codec runtime)
 from repro.xtree.serialize import escape_text as _esc
 from repro.xtree.serialize import iter_serialized
 
 __all__ = ["CodecError", "GeneratedCodec", "generate_codec_source",
            "compile_codec", "generate_codec"]
+
+#: The generated module's layout.  Cached source of another layout is
+#: not attached; the codec is generated afresh instead.
+CODEC_FORMAT = 2
 
 
 class CodecError(ValueError):
@@ -92,12 +101,12 @@ def _blk(cache: dict, lines: tuple, depth: int) -> str:
 
 def _codec_fallback(instmap: InstMap, out: list, stack: list,
                     node: ElementNode, depth: int, image_tag: str) -> None:
-    """Serve one fragment off the codec's static path and splice its
-    serialized lines (plus dispatch items for its hot endpoints) into
-    the codec's output stream — the codec twin of
-    ``MappingProgram._serve_sparse``: sparse-concat shapes run through
-    the compiled plane, only non-static shapes hit the reference
-    builder."""
+    """Serve one concat fragment whose children do not match its
+    production and splice its serialized lines (plus dispatch items for
+    its hot endpoints) into the codec's output stream — the codec twin
+    of ``MappingProgram._serve_sparse``: sparse-concat shapes run
+    through the compiled plane, only undeclared edges hit the
+    reference builder."""
     image = ElementNode(image_tag)
     pairs = instmap.fragment_pairs(image, node, {})
     hot = {leaf.node_id: source for leaf, source in pairs}
@@ -135,7 +144,7 @@ def _codec_fallback(instmap: InstMap, out: list, stack: list,
         for child in reversed(children):
             walk.append((child, level + 1))
     stack.extend(reversed(items))
-    _sever(image)
+    sever(image)
 
 
 # -- generation-time virtual interpretation -----------------------------------
@@ -448,6 +457,8 @@ def generate_codec_source(instmap: InstMap, *,
                      for index, name in enumerate(type_names)}
 
     bodies: list[list[str]] = []
+    #: (type, head block, tail block, instance depth, body, endpoint)
+    stars: list[tuple] = []
     for source_type in type_names:
         program = mp.programs[source_type]
         code = [f"def {handler_names[source_type]}(out, stack, node, "
@@ -521,11 +532,15 @@ def generate_codec_source(instmap: InstMap, *,
             code.append('            " schema)")')
         else:  # star
             head, body_parts, tail, kid_rel = _star_layout(program)
+            body_name = "_b" + handler_names[source_type][2:]
             code.append("    kids = [c for c in node.children "
                         "if isinstance(c, ElementNode)]")
             code.append("    if not kids:")
-            code.append("        _codec_fallback(_IM, out, stack, node, "
-                        f"depth, {program.image!r})")
+            # No instances: pure mindef completion of the image (the
+            # interpreter's precompiled empty_ops), rendered statically.
+            empty_parts = _ops_parts(program.empty_ops, program.image)
+            code.extend(_handler_code(
+                _tokens(writer, empty_parts, {}), "        "))
             code.append("        return")
             head_name = writer.block(head)
             tail_name = writer.block(tail)
@@ -534,21 +549,24 @@ def generate_codec_source(instmap: InstMap, *,
             code.append(f"    d = depth + {kid_rel}")
             code.append(f"    stack.append((1, _blk(_B{tail_name[2:]}, "
                         f'{tail_name}, depth), 0, ""))')
-            if (len(body_parts) == 1 and body_parts[0][0] == "hole"
-                    and body_parts[0][2] == LOOP_SLOT):
-                tag = body_parts[0][3]
-                code.append("    for k in reversed(kids):")
-                code.append(f"        stack.append((0, k, d, {tag!r}))")
-            else:
-                body_tokens = _tokens(writer, body_parts,
-                                      {LOOP_SLOT: "k"}, "d")
-                code.append("    items = []")
-                code.append("    for k in kids:")
-                code.extend(_items_code(body_tokens, "        "))
-                code.append("    stack.extend(reversed(items))")
+            code.append("    items = []")
+            code.append("    for k in kids:")
+            code.append(f"        {body_name}(items, k, d)")
+            code.append("    stack.extend(reversed(items))")
+            # The per-instance body follows its handler: the streaming
+            # executor calls it too, once per buffered instance.
+            bodies.append(code)
+            code = [f"def {body_name}(items, k, d):"]
+            code.extend(_items_code(
+                _tokens(writer, body_parts, {LOOP_SLOT: "k"}, "d"), "    "))
+            direct = (len(body_parts) == 1 and body_parts[0][0] == "hole"
+                      and body_parts[0][2] == LOOP_SLOT)
+            stars.append((source_type, head_name, tail_name, kid_rel,
+                          body_name, body_parts[0][3] if direct else None))
         bodies.append(code)
 
     out: list[str] = [_HEADER]
+    out.append(f"CODEC_FORMAT = {CODEC_FORMAT}")
     out.append(f"SOURCE_FINGERPRINT = {source_fingerprint!r}")
     out.append(f"TARGET_FINGERPRINT = {target_fingerprint!r}")
     out.append(f"EMBEDDING_FINGERPRINT = {embedding_fingerprint!r}")
@@ -584,11 +602,50 @@ def generate_codec_source(instmap: InstMap, *,
     for source_type in type_names:
         out.append(f"    {source_type!r}: {handler_names[source_type]},")
     out.append("}")
-    out.append("_IMG = {")
-    for source_type in type_names:
-        out.append(f"    {source_type!r}: "
-                   f"{mp.programs[source_type].image!r},")
+    for name, attribute in (("IMAGES", "image"), ("KINDS", "kind")):
+        out.append(f"{name} = {{")
+        for source_type in type_names:
+            value = getattr(mp.programs[source_type], attribute)
+            out.append(f"    {source_type!r}: {value!r},")
+        out.append("}")
+    out.append("# star type -> (head, head cache, tail, tail cache, instance")
+    out.append("# depth offset, body, endpoint of a bare-instance body or None)")
+    out.append("STARS = {")
+    for source_type, head, tail, rel, body, endpoint in stars:
+        out.append(f"    {source_type!r}: ({head}, _B{head[2:]}, {tail}, "
+                   f"_B{tail[2:]}, {rel}, {body}, {endpoint!r}),")
     out.append("}")
+    out.append("")
+    out.append("")
+    out.append("def run(out, stack):")
+    out.append('    """Drain the work stack into out: (1, text, 0, "") items '
+               "are output")
+    out.append("    pieces, (0, node, depth, image) items map a source node "
+               "whose")
+    out.append('    image is expected at depth."""')
+    out.append("    pop = stack.pop")
+    out.append("    get = _H.get")
+    out.append("    while stack:")
+    out.append("        kind, payload, depth, expected = pop()")
+    out.append("        if kind:")
+    out.append("            out.append(payload)")
+    out.append("            continue")
+    out.append("        handler = get(payload.tag)")
+    out.append("        if handler is None:")
+    out.append("            raise EmbeddingError(")
+    out.append('                "instance element <" + payload.tag +')
+    out.append('                "> is not a source type of the '
+               'embedding (document"')
+    out.append('                " does not conform to the source '
+               'schema)")')
+    out.append("        image = IMAGES[payload.tag]")
+    out.append("        if image != expected:")
+    out.append("            raise EmbeddingError(")
+    out.append('                "image of <" + payload.tag + "> has '
+               'tag <" + expected +')
+    out.append('                ">, expected \\u03bb(" + payload.tag '
+               '+ ") = " + image)')
+    out.append("        handler(out, stack, payload, depth)")
     out.append("")
     out.append("")
     out.append("def map_tree(root):")
@@ -599,32 +656,9 @@ def generate_codec_source(instmap: InstMap, *,
     out.append('            "instance root <" + root.tag + "> is not the '
                'source root <" + SOURCE_ROOT + ">")')
     out.append("    out = []")
-    out.append("    stack = [(0, root, 0, ROOT_IMAGE)]")
-    out.append("    pop = stack.pop")
-    out.append("    get = _H.get")
     out.append("    _pause_gc()")
     out.append("    try:")
-    out.append("        while stack:")
-    out.append("            kind, payload, depth, expected = pop()")
-    out.append("            if kind:")
-    out.append("                out.append(payload)")
-    out.append("                continue")
-    out.append("            handler = get(payload.tag)")
-    out.append("            if handler is None:")
-    out.append("                raise EmbeddingError(")
-    out.append('                    "instance element <" + payload.tag +')
-    out.append('                    "> is not a source type of the '
-               'embedding (document"')
-    out.append('                    " does not conform to the source '
-               'schema)")')
-    out.append("            image = _IMG[payload.tag]")
-    out.append("            if image != expected:")
-    out.append("                raise EmbeddingError(")
-    out.append('                    "image of <" + payload.tag + "> has '
-               'tag <" + expected +')
-    out.append('                    ">, expected \\u03bb(" + payload.tag '
-               '+ ") = " + image)')
-    out.append("            handler(out, stack, payload, depth)")
+    out.append("        run(out, [(0, root, 0, ROOT_IMAGE)])")
     out.append("    finally:")
     out.append("        _resume_gc()")
     out.append('    return "\\n".join(out)')
@@ -638,18 +672,38 @@ def generate_codec_source(instmap: InstMap, *,
 
 
 class GeneratedCodec:
-    """A compiled codec module bound to its InstMap."""
+    """A compiled codec module bound to its InstMap.
+
+    ``map_tree``/``map_text`` render whole documents.  The streaming
+    executor drives the same module piecewise: ``run(out, stack)``
+    drains ``(0, node, depth, image)`` dispatch items and
+    ``(1, text, 0, "")`` output items into ``out``; ``stars`` maps each
+    star type to ``(head, head cache, tail, tail cache, instance depth
+    offset, body, endpoint)``, where ``body(items, k, depth)`` appends
+    the work items of instance ``k`` and ``endpoint`` is the instance's
+    image tag when the body is the bare instance (else ``None``);
+    ``kinds`` and ``images`` give each source type's program kind and
+    image tag.
+    """
 
     __slots__ = ("source", "source_fingerprint", "target_fingerprint",
-                 "embedding_fingerprint", "map_tree", "map_text")
+                 "embedding_fingerprint", "map_tree", "map_text", "run",
+                 "stars", "kinds", "images")
 
     def __init__(self, source: str, namespace: dict) -> None:
+        if namespace.get("CODEC_FORMAT") != CODEC_FORMAT:
+            raise CodecError("codec source of another layout; "
+                             "regenerate it")
         self.source = source
         self.source_fingerprint = namespace["SOURCE_FINGERPRINT"]
         self.target_fingerprint = namespace["TARGET_FINGERPRINT"]
         self.embedding_fingerprint = namespace["EMBEDDING_FINGERPRINT"]
         self.map_tree = namespace["map_tree"]
         self.map_text = namespace["map_text"]
+        self.run = namespace["run"]
+        self.stars = namespace["STARS"]
+        self.kinds = namespace["KINDS"]
+        self.images = namespace["IMAGES"]
 
 
 def compile_codec(source: str, instmap: InstMap) -> GeneratedCodec:

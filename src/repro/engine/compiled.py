@@ -136,7 +136,7 @@ class CompiledEmbedding:
 
     __slots__ = ("embedding", "fingerprint", "source_schema",
                  "target_schema", "translator", "edge_table_size",
-                 "_instmap", "_inverse", "_codec", "_validated")
+                 "_instmap", "_inverse", "_validated")
 
     def __init__(self, embedding: SchemaEmbedding,
                  source_schema: Optional[CompiledSchema] = None,
@@ -154,7 +154,6 @@ class CompiledEmbedding:
         # lazy classification).
         self._instmap: Optional[InstMap] = None
         self._inverse = None
-        self._codec = None
         self._validated = False
 
     @property
@@ -225,41 +224,14 @@ class CompiledEmbedding:
     # -- generated codec ----------------------------------------------------
     @property
     def codec(self):
-        """The generated parse→map→serialize codec, or ``None`` when
-        the embedding's shape cannot be specialised (the interpreter /
-        reference path serves those).  Generated and compiled at most
-        once per artifact; warm starts attach cached source instead via
-        :meth:`attach_codec`."""
-        if self._codec is None:
-            from repro.engine.codegen import CodecError, generate_codec
-
-            try:
-                self._codec = generate_codec(
-                    self.instmap,
-                    source_fingerprint=self.source_schema.fingerprint,
-                    target_fingerprint=self.target_schema.fingerprint,
-                    embedding_fingerprint=self.fingerprint)
-            except CodecError:
-                self._codec = False  # shape refused: no codec
-        return self._codec or None
-
-    def attach_codec(self, source: str) -> None:
-        """Compile cached codec source (from the artifact store) and
-        bind it to this embedding's InstMap — zero regeneration."""
-        from repro.engine.codegen import compile_codec
-
-        self._codec = compile_codec(source, self.instmap)
+        """The generated codec of this embedding's InstMap
+        (:attr:`InstMap.codec`), or ``None`` when the generator refuses
+        the embedding's shape."""
+        return self.instmap.codec
 
     def map_text(self, text: str) -> str:
-        """Serialized ``σd`` of an XML text, through the codec when one
-        exists (byte-identical to ``to_string(self.apply(...).tree)``)."""
-        codec = self.codec
-        if codec is not None:
-            return codec.map_text(text)
-        from repro.xtree.parser import parse_xml
-        from repro.xtree.serialize import to_string
-
-        return to_string(self.instmap.apply(parse_xml(text)).tree)
+        """Serialized ``σd`` of an XML text (:meth:`InstMap.map_text`)."""
+        return self.instmap.map_text(text)
 
     # -- identity -----------------------------------------------------------
     def __hash__(self) -> int:

@@ -37,8 +37,6 @@ from repro.core.instmap import MappingResult
 from repro.engine.corpus import CorpusDocument, iter_corpus
 from repro.engine.session import Engine, EngineConfig
 from repro.engine.store import ArtifactStore
-from repro.xtree.parser import parse_xml
-from repro.xtree.serialize import to_string
 
 #: Documents/queries per pool task; small enough that a 4-worker pool
 #: stays busy on a few hundred items, large enough to amortise IPC.
@@ -96,21 +94,15 @@ class _WorkerContext:
                  embedding_ref: Union[SchemaEmbedding, str]) -> None:
         self.engine = Engine(config)
         if store_path is not None:
-            # A batch serves exactly one embedding, so the worker loads
-            # just that artifact from the store (not the whole store):
-            # compile it now, then reset stats so serving reports zero
-            # compile misses — the same warm-start contract as
-            # Engine.warm_start, scoped to the batch.
-            store = ArtifactStore(store_path, create=False)
-            if isinstance(embedding_ref, str):
-                fingerprint = embedding_ref
-                embedding_ref = store.get_embedding(fingerprint)
-            else:
-                fingerprint = embedding_ref.fingerprint()
-            compiled = self.engine.compile_embedding(embedding_ref)
-            if store.embedding_validated(fingerprint):
-                compiled.mark_validated()
-                compiled.instmap
+            # A batch serves exactly one embedding, so the worker adopts
+            # just that artifact from the store (not the whole store),
+            # then resets stats so serving reports zero compile misses —
+            # the warm-start contract, scoped to the batch.
+            if not isinstance(embedding_ref, str):
+                embedding_ref = embedding_ref.fingerprint()
+            embedding_ref = self.engine.adopt_embedding(
+                ArtifactStore(store_path, create=False),
+                embedding_ref).embedding
             self.engine.reset_stats()
         assert isinstance(embedding_ref, SchemaEmbedding)
         self.embedding = embedding_ref
@@ -178,11 +170,9 @@ def _corpus_chunk(task):
     outcomes = []
     for name, text in rows:
         try:
-            document = parse_xml(text)
-            result = context.engine.apply_embedding(context.embedding,
-                                                    document,
-                                                    validate=validate)
-            outcomes.append(CorpusOutcome(name, True, to_string(result.tree)))
+            output = context.engine.map_text(context.embedding, text,
+                                             validate=validate)
+            outcomes.append(CorpusOutcome(name, True, output))
         except Exception as exc:  # one bad document must not sink the batch
             outcomes.append(CorpusOutcome(
                 name, False, f"{type(exc).__name__}: {exc}"))

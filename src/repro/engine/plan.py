@@ -38,6 +38,13 @@ Fragments whose shape the compiler cannot prove static (a malformed
 document, or an invalid embedding compiled with ``validate=False``)
 fall back to the reference ``_FragmentBuilder`` per fragment, so
 behaviour is preserved bit-for-bit even off the happy path.
+
+This interpreter is the *tree* executor: ``InstMap.apply`` (a tree
+with ``idM``), ``Engine.map_documents``, inversion and the evolution
+and preservation checks.  Text output runs the generated codec
+(:mod:`repro.engine.codegen`), which specialises these same programs;
+the interpreter renders text only for embeddings the codec generator
+refuses.  ``_FragmentBuilder`` stays the oracle for both.
 """
 
 from __future__ import annotations
@@ -502,34 +509,25 @@ class MappingProgram:
     def sparse_fragment(self, image: ElementNode,
                         source_node: ElementNode, id_map: dict,
                         ) -> Optional[list]:
-        """One fragment's hot pairs through the compiled (sparse)
+        """One concat fragment's hot pairs through the sparse-concat
         plane, or ``None`` when only the reference builder can serve
         the shape — the single-fragment twin of :meth:`_serve_sparse`
         used by the generated codecs' fallback splice."""
         program = self.programs.get(source_node.tag)
-        if program is None or program.image != image.tag:
+        if (program is None or program.image != image.tag
+                or program.kind != "concat"):
             return None
+        kids = [c for c in source_node.children
+                if isinstance(c, ElementNode)]
+        ops = self._sparse_ops(source_node.tag,
+                               tuple(kid.tag for kid in kids))
+        if ops is None:
+            return None
+        self.sparse_served += 1
         pairs: list = []
-        if program.kind == "concat":
-            kids = [c for c in source_node.children
-                    if isinstance(c, ElementNode)]
-            ops = self._sparse_ops(source_node.tag,
-                                   tuple(kid.tag for kid in kids))
-            if ops is None:
-                return None
-            self.sparse_served += 1
-            self._run(ops, image, kids, None, None, id_map,
-                      pairs.append, _ids.__next__)
-            return pairs
-        if program.kind == "star":
-            kids = [c for c in source_node.children
-                    if isinstance(c, ElementNode)]
-            if not kids:
-                self.sparse_served += 1
-                self._run(program.empty_ops, image, (), None, None,
-                          id_map, pairs.append, _ids.__next__)
-                return pairs
-        return None
+        self._run(ops, image, kids, None, None, id_map, pairs.append,
+                  _ids.__next__)
+        return pairs
 
     # -- interpretation ----------------------------------------------------
     def apply(self, source_root: ElementNode):

@@ -238,6 +238,25 @@ class Engine:
             self._embeddings.put(fingerprint, compiled)
         return compiled
 
+    def adopt_embedding(self, store, fingerprint: str) -> CompiledEmbedding:
+        """Compile one stored embedding as the store describes it.
+
+        A validated artifact is marked so, with its pfrag templates
+        built now (the first mapping request should pay nothing but the
+        walk itself), and a cached codec is compiled and bound instead
+        of generated.  Warm starts, hot reloads and pool workers all
+        adopt through here; ``store`` is an :class:`ArtifactStore` or a
+        packed :class:`~repro.engine.storepack.StoreView`.
+        """
+        compiled = self.compile_embedding(store.get_embedding(fingerprint))
+        if store.embedding_validated(fingerprint):
+            compiled.mark_validated()
+            compiled.instmap
+        if fingerprint in store.codec_fingerprints():
+            compiled.instmap.attach_codec(
+                store.get_codec_source(fingerprint))
+        return compiled
+
     # -- serving: mapping --------------------------------------------------
     def apply_embedding(self, embedding: SchemaEmbedding,
                         source_root: ElementNode,
@@ -252,7 +271,7 @@ class Engine:
         (parse→map→serialize fused; byte-identical to serializing
         :meth:`apply_embedding` on the parsed document).  Embeddings
         whose shape has no codec take the interpreted path inside
-        :meth:`CompiledEmbedding.map_text`."""
+        :meth:`InstMap.map_text`."""
         compiled = self.compile_embedding(embedding, ensure_valid=validate)
         return compiled.map_text(text)
 
@@ -444,23 +463,10 @@ class Engine:
                 search_cache=max(defaults.search_cache,
                                  len(store.manifest["searches"])))
         engine = cls(config)
-        codec_fps = (frozenset(store.codec_fingerprints())
-                     if hasattr(store, "codec_fingerprints")
-                     else frozenset())
         for fingerprint in store.schema_fingerprints():
             engine.compile_schema(store.get_schema(fingerprint))
         for fingerprint in store.embedding_fingerprints():
-            compiled = engine.compile_embedding(
-                store.get_embedding(fingerprint))
-            if store.embedding_validated(fingerprint):
-                compiled.mark_validated()
-                # Prebuild the pfrag templates too: the first mapping
-                # request should pay nothing but the walk itself.
-                compiled.instmap
-            if fingerprint in codec_fps:
-                # Cached codec source: compile + bind, zero regeneration.
-                compiled.attach_codec(
-                    store.get_codec_source(fingerprint))
+            engine.adopt_embedding(store, fingerprint)
         for key, result in store.iter_searches():
             with engine._lock:
                 engine._searches.put(key, result)

@@ -1,44 +1,44 @@
 """Streaming document plane — bounded-memory ``σd`` over parser events.
 
-``MappingProgram.apply`` materialises the whole source tree and the
-whole target tree before the first output byte, so mapping memory is
-O(document).  This module drives the *same* compiled per-type programs
-straight from SAX-style parser events (:func:`repro.xtree.parser.
-iter_events` / ``iter_events_path``) and emits serialized output
-incrementally:
+``map_text`` builds the whole source tree before its first output byte,
+so its memory is O(document).  This module drives the *same* generated
+codec (:mod:`repro.engine.codegen`) piecewise, straight from SAX-style
+parser events (:func:`repro.xtree.parser.iter_events` /
+``iter_events_path``), and emits serialized output incrementally:
 
-* **Star spine** — a source element whose program kind is ``star``
-  *streams*: its image's head (open tags + mindef pads before the
-  carrier) is emitted as soon as the first star instance starts, each
-  instance is emitted as it completes, and the tail (closes + trailing
-  pads) on the end event.  Star-of-star documents stream end-to-end;
-  peak memory is bounded by the largest single fragment, never the
-  document.
-* **Buffered fragments** — ``concat``/``disj``/``str`` shapes buffer
-  only their enclosing source fragment, then run through the *exact*
-  interpreter machinery (``MappingProgram._run``/``_map_loop``,
-  including its per-fragment reference ``_FragmentBuilder`` fallback),
-  so every byte — happy path, mindef padding, malformed-document
-  errors — is identical to ``InstMap.apply`` by construction.  The
-  reference path is never bypassed, only fed smaller inputs.
-* **Ignored subtrees** — children of an ``empty``-typed source element
-  are skipped with a depth counter (the interpreter never looks at
-  them), so even garbage subtrees below Empty types cost O(depth).
+* **Star spine** — a source element of a star type streams: the
+  codec's head block for its image is emitted when the first instance
+  starts, each instance as it completes, and the tail block on the end
+  event (a star without instances emits its static zero-instance
+  block).  Star-of-star documents stream end to end; peak memory is
+  bounded by the largest single instance, never the document.
+* **Buffered instances** — an instance that does not stream itself is
+  built with :func:`~repro.xtree.parser.build_tree`, rendered by the
+  codec's per-instance body function and ``run`` loop — the very code
+  ``map_tree`` runs on it — and released.
+* **Ignored subtrees** — children of an Empty-typed element are
+  skipped with a depth counter (the codec never looks at them), so
+  even garbage subtrees below Empty types cost O(depth).
 
-Documents whose *root* program is not a star (or whose embedding
-compiled onto the reference path) fall back to whole-document
-buffering: parse from the same event stream, ``InstMap.apply``,
-serialize — byte-identical, memory O(document), never wrong.
+A document whose root type is not a star is built whole and rendered
+by ``map_tree`` (memory O(document)).  An embedding the codec generator
+refuses has no codec: its documents are mapped whole by
+``InstMap.apply`` and serialized, the interpreter's one text role.
 
-Error contract: malformed XML raises the same ``XMLParseError``
-(message/line/column) as ``parse_xml`` on the same input; malformed
-instances raise the same ``EmbeddingError`` messages as the
-interpreter.  One caveat: the interpreter surfaces instance errors in
-BFS order over hot fragments while the streamer surfaces them in
-document order — for a document with a *single* defect (the tested
-contract) the raised error is identical.  :func:`stream_map_to_path`
-writes through a temp file + ``os.replace`` so a mid-stream error
-leaves no partial output.
+Error contract: every text-output path — codec ``map_text``,
+:func:`iter_mapped`, ``ParallelRunner.map_corpus`` and ``/v1/map`` —
+reports the same first error for the same document.  A document that
+is not well-formed raises ``parse_xml``'s ``XMLParseError`` (message,
+line, column); a well-formed one with several mapping defects raises
+the ``EmbeddingError`` of the first defect in document order, the
+order in which the codec's work stack visits nodes.  The streamer maps
+as it reads, so after a mapping error it reads the rest of the
+document first: a syntax error anywhere in it still wins, as in
+``map_text``.  ``InstMap.apply`` is the one path that differs: the
+interpreter visits hot nodes breadth-first, so on a document with
+several defects it may report a shallower one first.
+:func:`stream_map_to_path` writes through a temp file + ``os.replace``
+so a mid-stream error leaves no partial output.
 """
 # lint: stream-plane
 
@@ -46,24 +46,21 @@ from __future__ import annotations
 
 import os
 import tempfile
-from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Optional
 
 from repro.core.errors import EmbeddingError
 from repro.core.instmap import InstMap
-from repro.engine.plan import (
-    LOOP_SLOT,
-    OP_HOT,
-    MappingProgram,
-    TypeProgram,
-    _pause_gc,
-    _resume_gc,
-)
-from repro.xtree.nodes import ElementNode, TextNode
-from repro.xtree.nodes import _id_counter as _ids
-from repro.xtree.parser import iter_events, iter_events_path
-from repro.xtree.serialize import iter_serialized
+from repro.engine.codegen import _blk
+from repro.engine.plan import _pause_gc, _resume_gc
+from repro.xtree.nodes import ElementNode, sever
+from repro.xtree.parser import build_tree, iter_events, iter_events_path
+from repro.xtree.serialize import to_string
+
+#: Output pieces (codec blocks and lines) joined into one chunk of
+#: :func:`iter_mapped`.
+CHUNK_PIECES = 256
 
 
 @dataclass
@@ -72,7 +69,7 @@ class StreamStats:
 
     #: star frames that streamed (head/instances/tail emitted live)
     frames_streamed: int = 0
-    #: source fragments served through the buffered interpreter path
+    #: star instances built whole and rendered (they do not stream)
     fragments_buffered: int = 0
     #: subtrees below Empty-typed elements skipped without buffering
     subtrees_skipped: int = 0
@@ -82,282 +79,129 @@ class StreamStats:
     chars_out: int = 0
 
 
-def _sever(root) -> None:
-    """Break parent/children cycles so refcounting frees the fragment
-    immediately (collection is paused during a mapping burst)."""
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        node.parent = None
-        children = getattr(node, "children", None)
-        if children:
-            stack.extend(children)
-            node.children = []
-
-
-class _TreeCapture:
-    """Rebuild one element subtree from its events (minus the initial
-    start event, which the caller consumed to dispatch)."""
-
-    __slots__ = ("root", "stack")
-
-    def __init__(self, tag: str) -> None:
-        self.root = ElementNode(tag)
-        self.stack = [self.root]
-
-    def feed(self, event) -> bool:
-        kind = event[0]
-        if kind == "start":
-            node = ElementNode(event[1])
-            self.stack[-1].append(node)
-            self.stack.append(node)
-        elif kind == "text":
-            self.stack[-1].append(TextNode(event[1]))
-        else:
-            self.stack.pop()
-            return not self.stack
-        return False
-
-
-class _StarSeg:
-    """A star program's head/tail, segmented for incremental emission.
-
-    Materialised once per (program, source type) by running the very
-    ``head_ops``/``tail_ops`` the interpreter runs, then slicing the
-    result around the open chain — the emitted bytes cannot drift from
-    ``_run_star`` because they come from the same instructions.
-    """
-
-    __slots__ = ("open_tags", "pre_pads", "post_pads", "carrier_tag",
-                 "kid_rel_depth")
-
-    def __init__(self, mp: MappingProgram, program: TypeProgram) -> None:
-        dummy = ElementNode(program.image)
-        nxt = _ids.__next__
-        mp._run(program.head_ops, dummy, (), None, None, {}, None, nxt)
-        chain = [dummy]
-        node = dummy
-        for _ in range(program.head_depth):
-            node = node.children[-1]
-            chain.append(node)
-        # Before the tail runs, the chain child is the last child at
-        # every level; everything before it is a completed pad subtree.
-        chain_index = [len(level.children) - 1 for level in chain[:-1]]
-        self.pre_pads = [tuple(level.children[:-1]) for level in chain[:-1]]
-        stack = [(ancestor, ancestor.children) for ancestor in chain[:-1]]
-        mp._run(program.tail_ops, chain[-1], (), None, None, {}, None, nxt,
-                stack=stack)
-        self.post_pads = [
-            tuple(level.children[index + 1:])
-            for level, index in zip(chain[:-1], chain_index)]
-        self.open_tags = tuple(n.tag for n in chain)
-        self.carrier_tag = self.open_tags[-1]
-        self.kid_rel_depth = len(self.open_tags)
-
-
-def _segments(mp: MappingProgram, tag: str) -> _StarSeg:
-    cache = getattr(mp, "_stream_segs", None)
-    if cache is None:
-        cache = {}
-        mp._stream_segs = cache
-    seg = cache.get(tag)
-    if seg is None:
-        seg = _StarSeg(mp, mp.programs[tag])
-        cache[tag] = seg
-    return seg
-
-
-def _empty_fragment(mp: MappingProgram, tag: str) -> ElementNode:
-    """The static image fragment of an Empty-typed source element."""
-    cache = getattr(mp, "_stream_empties", None)
-    if cache is None:
-        cache = {}
-        mp._stream_empties = cache
-    fragment = cache.get(tag)
-    if fragment is None:
-        program = mp.programs[tag]
-        fragment = ElementNode(program.image)
-        mp._run(program.ops, fragment, (), None, None, {}, None,
-                _ids.__next__)
-        cache[tag] = fragment
-    return fragment
-
-
 class _StarFrame:
     """One streaming star-typed source element currently open."""
 
-    __slots__ = ("tag", "program", "seg", "depth", "kid_depth", "kids",
-                 "head_emitted", "direct", "endpoint")
+    __slots__ = ("tag", "depth", "kids", "head", "head_cache", "tail",
+                 "tail_cache", "kid_depth", "body", "endpoint")
 
-    def __init__(self, mp: MappingProgram, tag: str, program: TypeProgram,
-                 depth: int) -> None:
+    def __init__(self, tag: str, star: tuple, depth: int) -> None:
         self.tag = tag
-        self.program = program
-        self.seg = _segments(mp, tag)
         self.depth = depth
-        self.kid_depth = depth + self.seg.kid_rel_depth
         self.kids = 0
-        self.head_emitted = False
-        body = program.body_ops
-        self.direct = (len(body) == 1 and body[0][0] == OP_HOT
-                       and body[0][2] == LOOP_SLOT)
-        self.endpoint = body[0][1] if self.direct else None
+        (self.head, self.head_cache, self.tail, self.tail_cache, rel,
+         self.body, self.endpoint) = star
+        self.kid_depth = depth + rel
 
 
-def _pad(indent: Optional[int], depth: int) -> str:
-    return "" if indent is None else " " * (indent * depth)
+def _skip_subtree(events) -> None:
+    """Consume events through the end of the element just started."""
+    depth = 1
+    for event in events:
+        kind = event[0]
+        if kind == "start":
+            depth += 1
+        elif kind == "end":
+            depth -= 1
+            if not depth:
+                return
 
 
-def _emit_head(frame: _StarFrame, indent: Optional[int]):
-    seg = frame.seg
-    depth = frame.depth
-    yield f"{_pad(indent, depth)}<{seg.open_tags[0]}>"
-    for level in range(len(seg.open_tags) - 1):
-        for pad_tree in seg.pre_pads[level]:
-            yield from iter_serialized(pad_tree, indent,
-                                       depth=depth + level + 1)
-        yield f"{_pad(indent, depth + level + 1)}<{seg.open_tags[level + 1]}>"
-    frame.head_emitted = True
+def _whole_document(instmap: InstMap, codec, first, it) -> str:
+    root = build_tree(chain((first,), it))
+    for _ in it:  # surface trailing-content parse errors pre-output
+        pass
+    if codec is not None:
+        text = codec.map_tree(root)
+    else:
+        tree = instmap.apply(root).tree
+        text = to_string(tree)
+        sever(tree)
+    sever(root)
+    return text
 
 
-def _emit_tail(frame: _StarFrame, indent: Optional[int]):
-    seg = frame.seg
-    depth = frame.depth
-    for level in range(len(seg.open_tags) - 2, -1, -1):
-        yield (f"{_pad(indent, depth + level + 1)}"
-               f"</{seg.open_tags[level + 1]}>")
-        for pad_tree in seg.post_pads[level]:
-            yield from iter_serialized(pad_tree, indent,
-                                       depth=depth + level + 1)
-    yield f"{_pad(indent, depth)}</{seg.open_tags[0]}>"
-
-
-def _emit_zero_kids(instmap: InstMap, frame: _StarFrame,
-                    indent: Optional[int]):
-    # No star instances: the interpreter serves the whole fragment
-    # through the reference builder (pure mindef completion) — do the
-    # very same.  Text children are ignored by both paths.
-    image = ElementNode(frame.program.image)
-    instmap.build_fragment(image, ElementNode(frame.tag), {})
-    yield from iter_serialized(image, indent, depth=frame.depth)
-    _sever(image)
-
-
-def _emit_buffered(mp: MappingProgram, frame: _StarFrame,
-                   kid_root: ElementNode, indent: Optional[int],
-                   stats: StreamStats):
-    # One star instance whose own shape does not stream: run the
-    # instance through the interpreter's body instructions + BFS loop
-    # against a detached carrier parent, then serialize the result at
-    # the carrier's depth.  Bytes match _run_star on the same kid by
-    # construction (same functions, same inputs).
-    stats.fragments_buffered += 1
-    dummy = ElementNode(frame.seg.carrier_tag)
-    id_map: dict[int, int] = {}
-    local: deque = deque()
-    nxt = _ids.__next__
-    mp._run(frame.program.body_ops, dummy, (kid_root,), None, None,
-            id_map, local.append, nxt)
-    mp._map_loop(local, local.popleft, local.append, mp.programs,
-                 id_map, nxt)
-    for child in dummy.children:
-        yield from iter_serialized(child, indent, depth=frame.kid_depth)
-    _sever(dummy)
-    _sever(kid_root)
-
-
-def _stream_pieces(instmap: InstMap, events: Iterable, indent: Optional[int],
-                   stats: StreamStats) -> Iterator[str]:
+def _stream_pieces(instmap: InstMap, events: Iterable,
+                   stats: StreamStats) -> Iterator[list]:
+    """Yield non-empty lists of output pieces; joined by newlines, in
+    order, they are the mapped document."""
     it = iter(events)
     first = next(it)  # ("start", root_tag); parse errors propagate
-    root_tag = first[1]
-    if root_tag != instmap.source.root:
-        raise EmbeddingError(
-            f"instance root <{root_tag}> is not the source root "
-            f"<{instmap.source.root}>")
-    mp: Optional[MappingProgram] = instmap._program
-    if mp is None or mp.programs[root_tag].kind != "star":
-        # Non-star root (or reference-path embedding): buffer the whole
-        # document and serve through InstMap.apply unchanged.
+    codec = instmap.codec
+    star = None
+    if codec is not None and first[1] == instmap.source.root:
+        star = codec.stars.get(first[1])
+    if star is None:
         stats.whole_document = True
-        capture = _TreeCapture(root_tag)
-        for event in it:
-            if capture.feed(event):
-                break
-        for _ in it:  # surface trailing-content parse errors pre-output
-            pass
-        result = instmap.apply(capture.root)
-        yield from iter_serialized(result.tree, indent)
-        _sever(capture.root)
-        _sever(result.tree)
+        yield [_whole_document(instmap, codec, first, it)]
         return
 
-    frames = [_StarFrame(mp, root_tag, mp.programs[root_tag], 0)]
+    run, stars, kinds, images = (codec.run, codec.stars, codec.kinds,
+                                 codec.images)
+    frames = [_StarFrame(first[1], star, 0)]
     stats.frames_streamed += 1
-    capture: Optional[_TreeCapture] = None
-    skip_depth = 0
+    out: list = []
     _pause_gc()
     try:
         for event in it:
             kind = event[0]
-            if skip_depth:
-                if kind == "start":
-                    skip_depth += 1
-                elif kind == "end":
-                    skip_depth -= 1
-                continue
-            if capture is not None:
-                if capture.feed(event):
-                    yield from _emit_buffered(mp, frames[-1], capture.root,
-                                              indent, stats)
-                    capture = None
-                continue
             if kind == "start":
                 frame = frames[-1]
-                if not frame.head_emitted:
-                    yield from _emit_head(frame, indent)
+                if not frame.kids:
+                    out.append(_blk(frame.head_cache, frame.head,
+                                    frame.depth))
                 frame.kids += 1
                 tag = event[1]
-                if frame.direct:
-                    program = mp.programs.get(tag)
-                    if program is None:
-                        raise EmbeddingError(
-                            f"instance element <{tag}> is not a source "
-                            "type of the embedding (document does not "
-                            "conform to the source schema)")
-                    if program.image != frame.endpoint:
-                        raise EmbeddingError(
-                            f"image of <{tag}> has tag <{frame.endpoint}>, "
-                            f"expected λ({tag}) = {program.image}")
-                    if program.kind == "star":
-                        frames.append(_StarFrame(mp, tag, program,
-                                                 frame.kid_depth))
-                        stats.frames_streamed += 1
-                        continue
-                    if program.kind == "empty":
-                        # Children of Empty types are ignored by the
-                        # interpreter: emit the static fragment, skip.
-                        stats.subtrees_skipped += 1
-                        yield from iter_serialized(
-                            _empty_fragment(mp, tag), indent,
-                            depth=frame.kid_depth)
-                        skip_depth = 1
-                        continue
-                capture = _TreeCapture(tag)
+                # A bare-instance body streams star kids and skips what
+                # is below Empty kids; any other instance (one the codec
+                # will reject included) is built and rendered whole.
+                shape = None
+                if (frame.endpoint is not None
+                        and images.get(tag) == frame.endpoint):
+                    shape = kinds[tag]
+                if shape == "star":
+                    frames.append(_StarFrame(tag, stars[tag],
+                                             frame.kid_depth))
+                    stats.frames_streamed += 1
+                    continue
+                if shape == "empty":
+                    stats.subtrees_skipped += 1
+                    _skip_subtree(it)
+                    kid = ElementNode(tag)
+                else:
+                    stats.fragments_buffered += 1
+                    kid = build_tree(chain((event,), it))
+                items: list = []
+                frame.body(items, kid, frame.kid_depth)
+                items.reverse()
+                run(out, items)
+                sever(kid)
             elif kind == "end":
                 frame = frames.pop()
-                if frame.kids == 0:
-                    yield from _emit_zero_kids(instmap, frame, indent)
-                else:
-                    yield from _emit_tail(frame, indent)
+                if frame.kids:
+                    out.append(_blk(frame.tail_cache, frame.tail,
+                                    frame.depth))
+                else:  # no instances: the static zero-instance block
+                    run(out, [(0, ElementNode(frame.tag), frame.depth,
+                               images[frame.tag])])
                 if not frames:
                     break
-            # text events at a star level are ignored (the interpreter
-            # maps element children only)
+            # text events at a star level are ignored, as by the codec
+            if len(out) >= CHUNK_PIECES:
+                yield out
+                out = []
         for _ in it:  # raise on trailing content after the root
             pass
+    except EmbeddingError:
+        # map_text parses the whole document before mapping it: a
+        # syntax error anywhere in it outranks a mapping defect.
+        for _ in it:
+            pass
+        raise
     finally:
         _resume_gc()
+    if out:
+        yield out
 
 
 def _events_for(text: Optional[str], path) -> Iterable:
@@ -369,41 +213,26 @@ def _events_for(text: Optional[str], path) -> Iterable:
 
 
 def iter_mapped(instmap: InstMap, *, text: Optional[str] = None,
-                path=None, indent: Optional[int] = 2,
-                chunk_pieces: int = 256,
+                path=None,
                 stats: Optional[StreamStats] = None) -> Iterator[str]:
     """Yield ``σd(document)`` as serialized text chunks.
 
-    Concatenating the chunks equals ``to_string(instmap.apply(...)
-    .tree, indent)`` byte for byte.  ``stats`` (optional) is filled in
-    as the stream progresses.
+    Concatenating the chunks equals ``instmap.map_text`` of the same
+    document (``to_string(instmap.apply(...).tree)``) byte for byte.
+    ``stats`` (optional) is filled in as the stream progresses.
     """
     if stats is None:
         stats = StreamStats()
-    joiner = "\n" if indent is not None else ""
-    buf: list[str] = []
-    first = True
-    for piece in _stream_pieces(instmap, _events_for(text, path), indent,
-                                stats):
-        if first:
-            first = False
-        else:
-            buf.append(joiner)
-        buf.append(piece)
-        if len(buf) >= 2 * chunk_pieces:
-            chunk = "".join(buf)
-            stats.chars_out += len(chunk)
-            buf.clear()
-            yield chunk
-    if buf:
-        chunk = "".join(buf)
+    joiner = ""
+    for pieces in _stream_pieces(instmap, _events_for(text, path), stats):
+        chunk = joiner + "\n".join(pieces)
+        joiner = "\n"
         stats.chars_out += len(chunk)
         yield chunk
 
 
 def stream_map(instmap: InstMap, *, text: Optional[str] = None, path=None,
-               write: Callable[[str], object],
-               indent: Optional[int] = 2) -> StreamStats:
+               write: Callable[[str], object]) -> StreamStats:
     """Map a document and push the serialized output through ``write``.
 
     The ``write`` callback receives text chunks as they are produced;
@@ -412,15 +241,14 @@ def stream_map(instmap: InstMap, *, text: Optional[str] = None, path=None,
     all-or-nothing file output.
     """
     stats = StreamStats()
-    for chunk in iter_mapped(instmap, text=text, path=path, indent=indent,
-                             stats=stats):
+    for chunk in iter_mapped(instmap, text=text, path=path, stats=stats):
         write(chunk)
     return stats
 
 
 def stream_map_to_path(instmap: InstMap, out_path, *,
-                       text: Optional[str] = None, path=None,
-                       indent: Optional[int] = 2) -> StreamStats:
+                       text: Optional[str] = None,
+                       path=None) -> StreamStats:
     """Stream-map into ``out_path`` atomically (temp file +
     ``os.replace``): a mid-document error leaves no partial output."""
     out_path = os.fspath(out_path)
@@ -431,9 +259,8 @@ def stream_map_to_path(instmap: InstMap, out_path, *,
     try:
         with handle:
             stats = stream_map(instmap, text=text, path=path,
-                               write=handle.write, indent=indent)
-            if indent is not None:
-                handle.write("\n")
+                               write=handle.write)
+            handle.write("\n")
         os.replace(handle.name, out_path)
     except BaseException:
         try:

@@ -253,3 +253,16 @@ def copy_tree(t: Node, fresh_ids: bool = True) -> Node:
 def dom(root: ElementNode) -> set[int]:
     """``dom(T)``: the set of node ids occurring in the tree."""
     return {node.node_id for node in root.iter()}
+
+
+def sever(root: Node) -> None:
+    """Break every parent/child link of a subtree, so reference counting
+    frees it at once — trees are cyclic through parent pointers, and
+    the mapping executors pause garbage collection while they run."""
+    stack: list[Node] = [root]
+    while stack:
+        node = stack.pop()
+        node.parent = None
+        if isinstance(node, ElementNode) and node.children:
+            stack.extend(node.children)
+            node.children = []

@@ -9,6 +9,14 @@ predefined entities.  Attributes are parsed and *rejected by default*
 Hand-rolled rather than ``xml.etree`` so that node ids are assigned at
 parse time and whitespace handling matches the paper's element-only
 content models (whitespace-only text between elements is dropped).
+
+There is one lexing loop.  :func:`iter_events` (over a string) and
+:func:`iter_events_path` (over a file, through a bounded window) yield
+SAX-style events; :func:`build_tree` turns events into a tree.
+:func:`parse_xml` is ``build_tree`` over ``iter_events``, and the
+streaming executor and the generated codecs build their trees the same
+way, so every surface raises the same ``XMLParseError`` (message,
+line, column) for the same malformed input.
 """
 
 from __future__ import annotations
@@ -18,6 +26,9 @@ from typing import Optional
 from repro.xtree.nodes import ElementNode, TextNode
 
 _ENTITIES = {"lt": "<", "gt": ">", "amp": "&", "apos": "'", "quot": '"'}
+
+#: Characters read per refill of a document file's streaming window.
+CHUNK_CHARS = 1 << 16
 
 
 class XMLParseError(ValueError):
@@ -114,12 +125,11 @@ class _TextWindow:
     byte for byte.
     """
 
-    __slots__ = ("_handle", "_chunk", "_buf", "_base", "_eof",
-                 "_nl_dropped", "_last_dropped_nl")
+    __slots__ = ("_handle", "_buf", "_base", "_eof", "_nl_dropped",
+                 "_last_dropped_nl")
 
-    def __init__(self, handle, chunk_chars: int = 1 << 16) -> None:
+    def __init__(self, handle) -> None:
         self._handle = handle
-        self._chunk = max(1024, int(chunk_chars))
         self._buf = ""
         self._base = 0
         self._eof = False
@@ -128,7 +138,7 @@ class _TextWindow:
 
     def _fill(self, target: int) -> None:
         while not self._eof and self._base + len(self._buf) < target:
-            chunk = self._handle.read(self._chunk)
+            chunk = self._handle.read(CHUNK_CHARS)
             if not chunk:
                 self._eof = True
                 break
@@ -183,7 +193,7 @@ class _TextWindow:
             end = self._base + len(self._buf)
             # Re-scan only the seam where a needle could span chunks.
             search_from = max(start, end - len(needle) + 1)
-            self._fill(end + self._chunk)
+            self._fill(end + CHUNK_CHARS)
 
     def count(self, needle: str, start: int, stop: int) -> int:
         # Only used for "\n" counting in error positions; the dropped
@@ -204,8 +214,8 @@ class _StreamScanner(_Scanner):
     """A scanner over a file handle: same lexing, same error messages,
     but only a bounded window of the document is ever resident."""
 
-    def __init__(self, handle, chunk_chars: int = 1 << 16) -> None:
-        self.source = _TextWindow(handle, chunk_chars)  # type: ignore[assignment]
+    def __init__(self, handle) -> None:
+        self.source = _TextWindow(handle)  # type: ignore[assignment]
         self.pos = 0
 
     def eof(self) -> bool:
@@ -341,14 +351,6 @@ def _flush_value(buffer: list[tuple[str, bool]], scanner: _Scanner,
     return None
 
 
-def _flush_text(node: ElementNode, buffer: list[tuple[str, bool]],
-                scanner: _Scanner, keep_whitespace: bool) -> None:
-    """Decode and append the buffered text run, if any."""
-    value = _flush_value(buffer, scanner, keep_whitespace)
-    if value is not None:
-        node.append(TextNode(value))
-
-
 def _open_tag(scanner: _Scanner, allow_attributes: bool) -> tuple[str, bool]:
     """Lex a start tag; returns (tag, closed) — closed for ``<a/>``."""
     scanner.expect("<")
@@ -361,81 +363,19 @@ def _open_tag(scanner: _Scanner, allow_attributes: bool) -> tuple[str, bool]:
     return tag, False
 
 
-def _open_element(scanner: _Scanner, allow_attributes: bool,
-                  ) -> tuple[ElementNode, bool]:
-    """Parse a start tag; returns (node, closed) — closed for ``<a/>``."""
-    tag, closed = _open_tag(scanner, allow_attributes)
-    return ElementNode(tag), closed
-
-
-def _parse_element(scanner: _Scanner, allow_attributes: bool,
-                   keep_whitespace: bool) -> ElementNode:
-    """Parse one element with an explicit open-element stack.
-
-    Iterative on purpose: documents nest arbitrarily deep (the serving
-    daemon accepts thousand-level documents) and must never hit the
-    Python recursion limit.
-    """
-    root, closed = _open_element(scanner, allow_attributes)
-    if closed:
-        return root
-    # (node, text buffer) per open element, innermost last.
-    stack: list[tuple[ElementNode, list[tuple[str, bool]]]] = [(root, [])]
-    while stack:
-        node, buffer = stack[-1]
-        if scanner.eof():
-            raise XMLParseError(f"unterminated element <{node.tag}>",
-                                scanner.pos, scanner.source)
-        if scanner.peek(2) == "</":
-            _flush_text(node, buffer, scanner, keep_whitespace)
-            scanner.advance(2)
-            close = scanner.read_name()
-            if close != node.tag:
-                raise XMLParseError(
-                    f"mismatched end tag </{close}>, expected </{node.tag}>",
-                    scanner.pos, scanner.source)
-            scanner.skip_ws()
-            scanner.expect(">")
-            stack.pop()
-        elif scanner.peek(4) == "<!--":
-            _flush_text(node, buffer, scanner, keep_whitespace)
-            scanner.advance(4)
-            scanner.read_until("-->")
-        elif scanner.peek(9) == "<![CDATA[":
-            scanner.advance(9)
-            buffer.append((scanner.read_until("]]>"), True))
-        elif scanner.peek(2) == "<?":
-            _flush_text(node, buffer, scanner, keep_whitespace)
-            scanner.advance(2)
-            scanner.read_until("?>")
-        elif scanner.peek() == "<":
-            _flush_text(node, buffer, scanner, keep_whitespace)
-            child, closed = _open_element(scanner, allow_attributes)
-            node.append(child)
-            if not closed:
-                stack.append((child, []))
-        else:
-            buffer.append((scanner.advance(), False))
-    return root
-
-
 def parse_xml(source: str, allow_attributes: bool = False,
               keep_whitespace: bool = False) -> ElementNode:
-    """Parse an XML document string into an element tree.
+    """Parse an XML document string into an element tree:
+    :func:`build_tree` over :func:`iter_events`.
 
     >>> t = parse_xml("<class><cno>CS331</cno><title>DB</title></class>")
     >>> t.tag, t.children_tagged("cno")[0].child_text()
     ('class', 'CS331')
     """
-    scanner = _Scanner(source)
-    _skip_misc(scanner)
-    if scanner.eof() or scanner.peek() != "<":
-        raise XMLParseError("expected a root element", scanner.pos, source)
-    root = _parse_element(scanner, allow_attributes, keep_whitespace)
-    _skip_misc(scanner)
-    if not scanner.eof():
-        raise XMLParseError("trailing content after the root element",
-                            scanner.pos, source)
+    events = iter_events(source, allow_attributes, keep_whitespace)
+    root = build_tree(events)
+    for _ in events:  # drained past the root: trailing content raises
+        pass
     return root
 
 
@@ -446,12 +386,10 @@ def parse_fragment(source: str) -> Optional[ElementNode]:
     return parse_xml(source)
 
 
-# -- SAX-style event mode -----------------------------------------------------
-# The streaming document plane (repro.engine.stream) drives mapping
-# programs straight from these events, never materialising the source
-# tree.  The event loop reuses the exact lexing, text grouping and
-# entity decoding of _parse_element, so a malformed document raises the
-# same XMLParseError (message, line, column) in either mode.
+# -- the event loop -----------------------------------------------------------
+# The parser's one lexing loop: parse_xml builds its tree from these
+# events, and the streaming document plane (repro.engine.stream) drives
+# the generated codec from them without building the whole tree.
 
 #: Event tuples: ("start", tag) / ("text", value) / ("end", tag).
 Event = tuple[str, str]
@@ -466,7 +404,7 @@ def _element_events(scanner: _Scanner, allow_attributes: bool,
         return
     # One shared text buffer is enough: it is flushed at every element
     # boundary, so its contents always belong to the innermost open
-    # element — exactly the per-element buffers of _parse_element.
+    # element.
     stack: list[str] = [tag]
     buffer: list[tuple[str, bool]] = []
     while stack:
@@ -541,19 +479,18 @@ def iter_events(source: str, allow_attributes: bool = False,
 
 
 def iter_events_path(path, allow_attributes: bool = False,
-                     keep_whitespace: bool = False,
-                     chunk_chars: int = 1 << 16):
+                     keep_whitespace: bool = False):
     """Stream a document *file* as events, reading it incrementally.
 
     Only a bounded window of the file is resident (the consumed prefix
     is dropped as end-tag events are emitted), so arbitrarily large
     documents parse in memory bounded by their largest text run plus
-    the window chunk size.  Errors carry the same message/line/column
-    as an in-memory parse of the same file.
+    :data:`CHUNK_CHARS`.  Errors carry the same message/line/column as
+    an in-memory parse of the same file.
     """
     def _generate():
         with open(path, "r") as handle:
-            scanner = _StreamScanner(handle, chunk_chars)
+            scanner = _StreamScanner(handle)
             yield from _document_events(scanner, allow_attributes,
                                         keep_whitespace)
     return _generate()
@@ -562,9 +499,10 @@ def iter_events_path(path, allow_attributes: bool = False,
 def build_tree(events) -> ElementNode:
     """Materialise an event stream (one element's worth) into a tree.
 
-    The inverse of :func:`iter_events`; node allocation order matches
-    :func:`parse_xml` on the same document exactly (text values are
-    appended at the same boundaries the tree parser flushes them).
+    The inverse of :func:`iter_events`.  Stops at the end event of the
+    first element, leaving the rest of an event iterator unread:
+    :func:`parse_xml` drains it for trailing content, the streaming
+    executor keeps reading the document.
     """
     root: Optional[ElementNode] = None
     stack: list[ElementNode] = []

@@ -15,13 +15,16 @@ from __future__ import annotations
 import pytest
 
 from repro.anfa.evaluate import evaluate_anfa
+from repro.core.errors import EmbeddingError
 from repro.core.instmap import InstMap, MappingResult
 from repro.core.inverse import run_invert
 from repro.core.translate import Translator
 from repro.dtd.generate import random_instance
 from repro.engine.codegen import generate_codec
+from repro.engine.parallel import ParallelRunner
 from repro.engine.plan import InverseProgram
 from repro.engine.stream import iter_mapped, stream_map_to_path
+from repro.serve.handlers import ServiceState, dispatch
 from repro.workloads.library import SCHEMA_LIBRARY
 from repro.workloads.noise import expand_schema
 from repro.workloads.queries import random_queries
@@ -138,6 +141,9 @@ def test_stream_and_codec_parse_errors_match_reference(school, tmp_path):
         prefix + "</dbx>",        # close tag mismatches the open root
         prefix,                   # truncated: the root never closes
         prefix + "<bro ken</db>",  # malformed markup mid-document
+        # a mapping defect before the syntax error: the syntax error
+        # still wins, as the buffered path parses before it maps
+        "<db><klass/><class></db>",
     ]
     for xml in bad_documents:
         with pytest.raises(ValueError) as reference:
@@ -175,6 +181,78 @@ def test_stream_and_codec_mapping_errors_match_interpreter(school):
         with pytest.raises(ValueError) as generated:
             codec.map_text(xml)
         assert str(generated.value) == str(reference.value)
+
+
+# Well-formed documents with two mapping defects each, and the error of
+# the first defect in document order.  In the first two the earlier
+# defect sits deeper than the later one, so a breadth-first walk meets
+# them the other way round.
+MULTI_DEFECT_DOCUMENTS = (
+    ("<db><class><cno>1</cno><title>t</title><type><regular><prereq>"
+     "<klass/></prereq></regular></type></class><class><cno><x/></cno>"
+     "<title>t</title><type><project>p</project></type></class></db>",
+     "instance element <klass> is not a source type of the embedding "
+     "(document does not conform to the source schema)"),
+    ("<db><class><cno>1</cno><title>t</title><type><seminar/></type>"
+     "</class><klass/></db>",
+     "instance edge (type, seminar, occ 1) is not covered by the "
+     "embedding (document does not conform to the source schema)"),
+    ("<db><class><cno>1</cno><bogus/><title>t</title><type><project>p"
+     "</project></type></class><class><cno>2</cno><title><b/></title>"
+     "<type><project>p</project></type></class></db>",
+     "instance edge (class, bogus, occ 1) is not covered by the "
+     "embedding (document does not conform to the source schema)"),
+)
+
+
+def _raised(function, *args) -> str:
+    with pytest.raises(EmbeddingError) as error:
+        function(*args)
+    return str(error.value)
+
+
+def _streamed(instmap, xml: str) -> str:
+    return "".join(iter_mapped(instmap, text=xml))
+
+
+def test_text_paths_report_the_first_error_in_document_order(school):
+    """The codec's ``map_text``, the streamer, ``map_corpus`` and
+    ``/v1/map`` report a multi-defect document's first defect in
+    document order; ``InstMap.apply`` walks breadth-first and names the
+    shallower defect on the first two documents."""
+    sigma = school.sigma1
+    instmap = InstMap(sigma)
+    state = ServiceState.from_embedding(sigma)
+    for xml, first in MULTI_DEFECT_DOCUMENTS:
+        assert _raised(instmap.codec.map_text, xml) == first
+        assert _raised(_streamed, instmap, xml) == first
+        outcome, = ParallelRunner(jobs=1).map_corpus(sigma, [("d", xml)])
+        assert outcome.output == f"EmbeddingError: {first}"
+        status, payload = dispatch(state, "POST", "/v1/map", {"xml": xml})
+        assert status == 200
+        assert payload["result"]["error"] == f"EmbeddingError: {first}"
+    breadth_first = [_raised(instmap.apply, parse_xml(xml))
+                     for xml, _ in MULTI_DEFECT_DOCUMENTS[:2]]
+    assert breadth_first == [
+        "<cno> has P(cno) = str but does not contain a single text value",
+        "instance element <klass> is not a source type of the embedding "
+        "(document does not conform to the source schema)",
+    ]
+
+
+def test_codec_renders_stars_without_instances_statically(school):
+    """A star without instances is static code in the codec: neither
+    ``map_text`` nor the streamer splices a fallback fragment for it."""
+    instmap = InstMap(school.sigma1)
+    splices = []
+    instmap.fragment_pairs = lambda *args: splices.append(args)
+    for xml in ("<db/>",
+                "<db><class><cno>1</cno><title>t</title><type><regular>"
+                "<prereq/></regular></type></class></db>"):
+        expected = to_string(instmap.apply(parse_xml(xml)).tree)
+        assert instmap.codec.map_text(xml) == expected
+        assert _streamed(instmap, xml) == expected
+    assert splices == []
 
 
 def test_codec_source_is_deterministic(school):

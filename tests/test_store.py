@@ -23,6 +23,7 @@ from repro.dtd.generate import InstanceGenerator
 from repro.dtd.model import Concat, Disjunction, Empty, Star, Str
 from repro.schema import load_schema
 from repro.engine import ArtifactStore, Engine, StoreError
+from repro.engine.codegen import CODEC_FORMAT
 from repro.engine.store import (
     dtd_from_payload,
     dtd_to_payload,
@@ -302,7 +303,26 @@ def test_save_store_persists_codec_and_warm_start_attaches(tmp_path,
     again = warm.compile_embedding(school.sigma1)
     # The codec was attached from stored source at warm start — the
     # slot is already populated, no generation happened lazily.
-    assert again._codec not in (None, False)
+    assert again.instmap._codec not in (None, False)
+    assert again.map_text(_CODEC_XML) == expected
+
+
+def test_warm_start_regenerates_a_codec_of_another_layout(tmp_path,
+                                                          school):
+    """Codec source cached by a generator with another module layout is
+    not attached (its exports may differ): the codec is generated on
+    first use instead and serves the same bytes."""
+    engine = Engine()
+    compiled = engine.compile_embedding(school.sigma1, ensure_valid=True)
+    expected = compiled.map_text(_CODEC_XML)
+    engine.save_store(tmp_path / "store")
+    path = tmp_path / "store" / "codecs" / f"{compiled.fingerprint}.py"
+    path.write_text(path.read_text().replace(
+        f"CODEC_FORMAT = {CODEC_FORMAT}", "CODEC_FORMAT = 1"))
+
+    warm = Engine.warm_start(tmp_path / "store")
+    again = warm.compile_embedding(school.sigma1)
+    assert again.instmap._codec is None
     assert again.map_text(_CODEC_XML) == expected
 
 
@@ -328,7 +348,8 @@ def test_precodec_store_reads_cleanly_without_rewrite(tmp_path, school):
     assert store.describe()["codecs"] == []
     warm = Engine.warm_start(path)
     compiled = warm.compile_embedding(school.sigma1)
-    assert compiled._codec is None  # nothing attached from the store
+    # nothing attached from the store
+    assert compiled.instmap._codec is None
     assert compiled.codec is not None  # lazy generation still works
     assert (path / "manifest.json").read_text() == before
     assert not (path / "codecs").exists()

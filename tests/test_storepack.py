@@ -203,7 +203,8 @@ def test_pack_carries_codecs_and_fleet_serves_them(packed_store, school):
         assert view.stats()["codecs"] == 1
         warm = Engine.warm_start(view)
         compiled = warm.compile_embedding(view.get_embedding(fingerprint))
-        assert compiled._codec not in (None, False)  # attached from pack
+        # attached from the pack
+        assert compiled.instmap._codec not in (None, False)
         xml = ("<db><class><cno>1</cno><title>t</title>"
                "<type><project>p</project></type></class></db>")
         from repro.core.instmap import InstMap

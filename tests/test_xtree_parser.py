@@ -1,8 +1,13 @@
 """Unit tests: the XML parser and serializer round-trip."""
 
+import hashlib
+import json
+import random
+from pathlib import Path
+
 import pytest
 
-from repro.xtree.nodes import tree_equal
+from repro.xtree.nodes import TextNode, tree_equal
 from repro.xtree.parser import XMLParseError, parse_xml
 from repro.xtree.serialize import to_string
 
@@ -190,3 +195,131 @@ def test_hostile_corpus_raises_only_xmlparseerror(snippet):
     a bare ValueError/IndexError from parse_xml is a bug."""
     with pytest.raises(XMLParseError):
         parse_xml(snippet)
+
+
+# -- pinned error bytes -------------------------------------------------------
+# parse_xml once ran a tree-mode lexing loop of its own beside the event
+# loop.  These outcomes were recorded from that loop before parse_xml
+# became build_tree over iter_events: the exact XMLParseError text
+# (message, line, column) or, for accepted input, a digest of the tree.
+
+HOSTILE_ERRORS = {
+    "<a>&#xZZ;</a>":
+        "malformed character reference &#xZZ; at line 1, column 10",
+    "<a>&#;</a>": "malformed character reference &#; at line 1, column 7",
+    "<a>&#x110000;</a>":
+        "character reference &#x110000; is outside the Unicode range "
+        "at line 1, column 14",
+    "<a>&#xFFFFFFFFFFFF;</a>":
+        "character reference &#xFFFFFFFFFFFF; is outside the Unicode "
+        "range at line 1, column 20",
+    "<a>&#-1;</a>":
+        "character reference &#-1; is outside the Unicode range at "
+        "line 1, column 9",
+    "<a>&#x;</a>": "malformed character reference &#x; at line 1, column 8",
+    "<a>&#xD800;</a>":
+        "character reference &#xD800; is a surrogate code point at "
+        "line 1, column 12",
+    "<1abc></1abc>": "expected a name at line 1, column 2",
+    "<-x/>": "expected a name at line 1, column 2",
+    "<.y/>": "expected a name at line 1, column 2",
+    "<a><1b/></a>": "expected a name at line 1, column 5",
+    "<a>&nope;</a>": "unknown entity &nope; at line 1, column 10",
+    "<a>&amp</a>": "unterminated entity reference at line 1, column 8",
+    "<a><b></a></b>":
+        "mismatched end tag </a>, expected </b> at line 1, column 10",
+    "<a><b>": "unterminated element <b> at line 1, column 7",
+    "<a/><b/>":
+        "trailing content after the root element at line 1, column 5",
+    "<a": "expected '>' at line 1, column 3",
+    "": "expected a root element at line 1, column 1",
+    "   ": "expected a root element at line 1, column 4",
+    "plain text": "expected a root element at line 1, column 1",
+    "<>": "expected a name at line 1, column 2",
+    "<a x=1/>": "expected quoted attribute value at line 1, column 7",
+    '<a x="1"/>':
+        "attribute 'x' not supported by the paper's data model (pass "
+        "allow_attributes=True to ignore attributes) at line 1, column 9",
+}
+
+
+def _tree_digest(tree) -> str:
+    """Depth plus tag or text value of every node in document order (so
+    text-node boundaries count), hashed."""
+    lines = []
+    stack = [(tree, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if isinstance(node, TextNode):
+            lines.append(f"{depth} {node.value!r}")
+        else:
+            lines.append(f"{depth} <{node.tag}>")
+            stack.extend((child, depth + 1)
+                         for child in reversed(node.children))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+
+def parse_outcome(source: str, **options) -> str:
+    try:
+        tree = parse_xml(source, **options)
+    except XMLParseError as error:
+        return f"error: {error}"
+    return f"tree: {_tree_digest(tree)}"
+
+
+@pytest.mark.parametrize("snippet", HOSTILE_SNIPPETS)
+def test_hostile_corpus_error_bytes_are_pinned(snippet):
+    assert parse_outcome(snippet) == "error: " + HOSTILE_ERRORS[snippet]
+
+
+#: Small documents that use every construct the parser knows.
+GARBLE_BASES = (
+    "<db><class><cno>CS331</cno><title>DB &amp; IR</title></class></db>",
+    "<?xml version='1.0'?>\n<!DOCTYPE r [<!ELEMENT r (a*)>]>\n<r>\n"
+    "  <a>x &lt; y</a>\n  <!-- note -->\n  <a><![CDATA[<raw> & ]]>z</a>\n"
+    "</r>\n",
+    "<a><b>&#65;&#x42;&quot;&apos;</b><c/><?pi data?><d> t </d></a>",
+    "<r x=\"1\"><s y='2'>v</s><e/></r>",
+    "<_a>\n<b.c-d>text</b.c-d>\n<b.c-d/>&gt;</_a>",
+)
+GARBLE_ALPHABET = "<>/&;#![]-?='\" \nabx0"
+PINNED_OUTCOMES = Path(__file__).parent / "data" / "garbled_parse_outcomes.json"
+
+
+def garbled_documents(count: int = 300, seed: int = 2005) -> list[str]:
+    """Seeded mutations of :data:`GARBLE_BASES`: inserted markup
+    characters, deleted characters, duplicated spans and truncations."""
+    rng = random.Random(seed)
+    documents = []
+    for _ in range(count):
+        text = rng.choice(GARBLE_BASES)
+        for _ in range(rng.randint(1, 3)):
+            at = rng.randrange(len(text) + 1)
+            move = rng.randrange(7)
+            if move < 2:
+                text = text[:at] + rng.choice(GARBLE_ALPHABET) + text[at:]
+            elif move < 4:
+                text = text[:at] + text[at + 1:]
+            elif move < 6:
+                end = min(len(text), at + rng.randint(1, 8))
+                text = text[:end] + text[at:end] + text[end:]
+            else:
+                text = text[:at]
+        documents.append(text)
+    return documents
+
+
+def garbled_outcomes(text: str) -> list[str]:
+    """One document's outcome with the default options and with
+    ``allow_attributes`` and ``keep_whitespace`` on."""
+    return [parse_outcome(text),
+            parse_outcome(text, allow_attributes=True,
+                          keep_whitespace=True)]
+
+
+def test_garbled_corpus_outcomes_are_pinned():
+    pinned = json.loads(PINNED_OUTCOMES.read_text())
+    documents = garbled_documents()
+    assert len(pinned) == len(documents)
+    for index, text in enumerate(documents):
+        assert garbled_outcomes(text) == pinned[index], (index, text)
