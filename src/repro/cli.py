@@ -533,16 +533,17 @@ def _cmd_store_inspect(args: argparse.Namespace) -> int:
     return 0
 
 
-def _graceful_sigterm() -> None:
+def _graceful_sigterm():
     """Make SIGTERM (systemd/docker stop) take the same graceful drain
     path as Ctrl-C: the serve loops catch KeyboardInterrupt, drain
-    in-flight requests and release the port."""
+    in-flight requests and release the port.  Returns the handler it
+    replaced, or ``None`` when it installed none."""
     def handler(signum, frame):
         raise KeyboardInterrupt
     try:
-        signal.signal(signal.SIGTERM, handler)
+        return signal.signal(signal.SIGTERM, handler)
     except (ValueError, OSError):
-        pass  # not the main thread / restricted platform: Ctrl-C only
+        return None  # not the main thread / restricted platform: Ctrl-C only
 
 
 def _cmd_store_pack(args: argparse.Namespace) -> int:
@@ -559,7 +560,20 @@ def _cmd_store_pack(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    _graceful_sigterm()
+    previous = _graceful_sigterm()
+    try:
+        return _serve(args)
+    finally:
+        # An in-process ``main(["serve", ...])`` leaves no handler
+        # behind: a pool worker forked later would inherit it, and the
+        # SIGTERM of ``Pool.terminate`` could then leave that worker
+        # blocked on the pool's task-queue lock, hanging the pool's
+        # teardown.
+        if previous is not None:
+            signal.signal(signal.SIGTERM, previous)
+
+
+def _serve(args: argparse.Namespace) -> int:
     if args.workers is not None and args.workers != 1:
         fleet = FleetServer(args.store, workers=args.workers,
                             host=args.host, port=args.port,

@@ -204,11 +204,15 @@ class InstMap:
         """One production fragment through the compiled plane where
         possible: static and sparse-concat shapes run at compiled
         speed, everything else (including malformed documents, for
-        their exact error bytes) through the reference builder."""
+        their exact error bytes) through the reference builder.  The
+        one splice entry point of the interpreter and the generated
+        codecs; ``reference_fallbacks`` counts the fragments of both
+        that reach the reference builder."""
         if self._program is not None:
             pairs = self._program.sparse_fragment(image, source_node, id_map)
             if pairs is not None:
                 return pairs
+            self._program.reference_fallbacks += 1
         return self.build_fragment(image, source_node, id_map)
 
     def info(self, key: EdgeKey) -> PathInfo:

@@ -156,7 +156,9 @@ class _Inverter:
 
 def run_invert(embedding: SchemaEmbedding, target_root: ElementNode,
                strict: bool = True) -> ElementNode:
-    """The uncached inverse walk (used by the engine's compiled path)."""
+    """The inverse walk: the one ``σd⁻¹`` executor, behind
+    ``CompiledEmbedding.invert`` (``Engine.invert``, ``/v1/invert``,
+    ``repro invert``, :func:`invert`), and its own oracle."""
     if target_root.tag != embedding.target.root:
         raise InverseError(
             f"document root <{target_root.tag}> is not the target root "

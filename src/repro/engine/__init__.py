@@ -3,10 +3,11 @@ persist/parallelise the compiled artifacts.
 
 * :mod:`repro.engine.compiled` — :class:`CompiledSchema` and
   :class:`CompiledEmbedding`, the immutable per-fingerprint artifacts;
-* :mod:`repro.engine.plan` — the document plane's tree executors:
-  :class:`MappingProgram` / :class:`InverseProgram`, flat per-type
-  instruction sequences interpreted without recursion (byte-identical
-  to the reference InstMap / inverse walkers);
+* :mod:`repro.engine.plan` — the document plane's tree executor:
+  :class:`MappingProgram`, flat per-type instruction sequences
+  interpreted without recursion (byte-identical to the reference
+  InstMap); ``σd⁻¹`` has one executor, the reference walker of
+  :mod:`repro.core.inverse`;
 * :mod:`repro.engine.session` — the :class:`Engine` session with LRU
   caches, ``save_store``/``warm_start`` persistence, and the
   process-wide :func:`default_engine` that the classic one-shot API
@@ -38,7 +39,7 @@ from repro.engine.codegen import (
     generate_codec_source,
 )
 from repro.engine.compiled import CompiledEmbedding, CompiledSchema
-from repro.engine.plan import InverseProgram, MappingProgram, PlanError
+from repro.engine.plan import MappingProgram, PlanError
 from repro.engine.stream import (
     StreamStats,
     iter_mapped,
@@ -86,7 +87,6 @@ __all__ = [
     "Engine",
     "EngineConfig",
     "GeneratedCodec",
-    "InverseProgram",
     "MappingProgram",
     "PackError",
     "ParallelReport",

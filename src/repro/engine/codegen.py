@@ -103,10 +103,10 @@ def _codec_fallback(instmap: InstMap, out: list, stack: list,
                     node: ElementNode, depth: int, image_tag: str) -> None:
     """Serve one concat fragment whose children do not match its
     production and splice its serialized lines (plus dispatch items for
-    its hot endpoints) into the codec's output stream — the codec twin
-    of ``MappingProgram._serve_sparse``: sparse-concat shapes run
-    through the compiled plane, only undeclared edges hit the
-    reference builder."""
+    its hot endpoints) into the codec's output stream.  The fragment
+    comes from ``InstMap.fragment_pairs``, the splice entry point the
+    interpreter shares: sparse-concat shapes run through the compiled
+    plane, only undeclared edges hit the reference builder."""
     image = ElementNode(image_tag)
     pairs = instmap.fragment_pairs(image, node, {})
     hot = {leaf.node_id: source for leaf, source in pairs}

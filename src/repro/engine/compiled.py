@@ -11,9 +11,10 @@ the embedding — never on the document or query — is hoisted here:
   path indexes that :mod:`repro.matching.local` enumerates during
   embedding search;
 * :class:`CompiledEmbedding` — a validated-at-most-once σ carrying the
-  prebuilt pfrag templates (the :class:`~repro.core.instmap.InstMap`),
-  the per-edge ANFA translation table of a persistent
-  :class:`~repro.core.translate.Translator`, and the inverse walker.
+  prebuilt pfrag templates (the :class:`~repro.core.instmap.InstMap`)
+  and the per-edge ANFA translation table of a persistent
+  :class:`~repro.core.translate.Translator`; ``σd⁻¹`` needs nothing
+  compiled and runs the reference walker.
 
 Both are keyed by *content fingerprints* (``DTD.fingerprint()`` /
 ``SchemaEmbedding.fingerprint()``): rebuilding an equal schema from
@@ -125,8 +126,9 @@ class CompiledEmbedding:
     * querying — ``translator`` holds the per-edge ANFA table (primed at
       compile time) and a structural ``Trl`` memo that persists across
       queries;
-    * inversion — path classifications are shared with the above, so
-      the inverse walks without re-deriving anything.
+    * inversion — the reference walker reads the embedding's memoised
+      path classifications (shared with the above) and compiles
+      nothing.
 
     Validation is *separate* from compilation (:meth:`ensure_valid`):
     callers that historically skipped validation (``validate=False``,
@@ -136,7 +138,7 @@ class CompiledEmbedding:
 
     __slots__ = ("embedding", "fingerprint", "source_schema",
                  "target_schema", "translator", "edge_table_size",
-                 "_instmap", "_inverse", "_validated")
+                 "_instmap", "_validated")
 
     def __init__(self, embedding: SchemaEmbedding,
                  source_schema: Optional[CompiledSchema] = None,
@@ -153,7 +155,6 @@ class CompiledEmbedding:
         # behaviour for broken embeddings identical to the seed's
         # lazy classification).
         self._instmap: Optional[InstMap] = None
-        self._inverse = None
         self._validated = False
 
     @property
@@ -199,26 +200,9 @@ class CompiledEmbedding:
 
     def invert(self, target_root: ElementNode,
                strict: bool = True) -> ElementNode:
-        """``σd⁻¹`` via the compiled inverse program (per-edge step
-        templates with pre-resolved occurrence indexes, iterative walk);
-        embeddings the plan compiler rejects use the reference walker
-        with its exact lazy error behaviour."""
-        if self._inverse is None:
-            from repro.engine.plan import InverseProgram, PlanError
-
-            try:
-                self._inverse = InverseProgram(self.embedding,
-                                               self.instmap._infos)
-            except PlanError:
-                self._inverse = False  # compile refused: reference path
-            except Exception:
-                if self._validated:
-                    raise  # a validated embedding must compile
-                # ``invert`` historically never validates: a broken
-                # embedding keeps the reference walker's lazy errors.
-                self._inverse = False
-        if self._inverse:
-            return self._inverse.apply(target_root, strict=strict)
+        """``σd⁻¹`` via the reference walker, which is also the oracle
+        (it reads the embedding's own path classifications and never
+        compiles the mapping programs)."""
         return run_invert(self.embedding, target_root, strict=strict)
 
     # -- generated codec ----------------------------------------------------

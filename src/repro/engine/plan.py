@@ -26,25 +26,27 @@ with
 
 :class:`MappingProgram.apply` is then an iterative interpreter: a BFS
 over hot (image, source-node) pairs, each fragment emitted by running
-its type's instruction sequence.  :class:`InverseProgram` does the same
-for ``σd⁻¹``: per-edge step templates with precomputed occurrence
-indexes, executed with an explicit stack (deep documents never recurse).
+its type's instruction sequence.
 
 The invariant (enforced by ``tests/test_fastpath_equivalence.py`` and
 ``benchmarks/bench_fastpath.py``): a compiled program produces output
 **byte-identical** to the reference path — same serialized tree, same
 ``idM`` correspondence, same error class on malformed documents.
-Fragments whose shape the compiler cannot prove static (a malformed
-document, or an invalid embedding compiled with ``validate=False``)
-fall back to the reference ``_FragmentBuilder`` per fragment, so
-behaviour is preserved bit-for-bit even off the happy path.
+A concat node whose children mismatch its production goes through
+``InstMap.fragment_pairs``, the splice entry point the generated
+codecs share: a per-signature sparse-concat program where the shape
+compiles, the reference ``_FragmentBuilder`` otherwise (a malformed
+document, for its exact error bytes).  An invalid embedding compiled
+with ``validate=False`` runs wholly on the reference builder.
 
 This interpreter is the *tree* executor: ``InstMap.apply`` (a tree
-with ``idM``), ``Engine.map_documents``, inversion and the evolution
-and preservation checks.  Text output runs the generated codec
+with ``idM``), ``Engine.map_documents`` and the evolution and
+preservation checks.  Text output runs the generated codec
 (:mod:`repro.engine.codegen`), which specialises these same programs;
 the interpreter renders text only for embeddings the codec generator
-refuses.  ``_FragmentBuilder`` stays the oracle for both.
+refuses.  ``_FragmentBuilder`` stays the oracle for both.  ``σd⁻¹``
+has no compiled program: :func:`repro.core.inverse.run_invert` serves
+every surface and is its own oracle.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from collections import deque
 from typing import Optional
 
 from repro.core.embedding import STR_KEY, SchemaEmbedding
-from repro.core.errors import EmbeddingError, InverseError
+from repro.core.errors import EmbeddingError
 from repro.dtd.mindef import DEFAULT_STRING, MinDef
 from repro.dtd.model import (
     Concat,
@@ -184,8 +186,9 @@ class MappingProgram:
         self.target = embedding.target
         self.mindef = mindef
         self._infos = infos
-        #: the owning InstMap — only used for the per-fragment reference
-        #: fallback on documents whose shape the program cannot serve.
+        #: the owning InstMap — only used for its splice entry point
+        #: (``fragment_pairs``) on concat children that mismatch the
+        #: production.
         self._instmap = instmap
         self.root_image = embedding.lam[self.source.root]
         self._pad_cache: dict[str, tuple] = {}
@@ -197,7 +200,8 @@ class MappingProgram:
         self._sparse_cache: dict[tuple[str, tuple[str, ...]],
                                  Optional[tuple]] = {}
         #: fragments served by a sparse-concat (or precompiled empty)
-        #: program vs. fragments sent to the reference builder.
+        #: program vs. fragments ``InstMap.fragment_pairs`` sent to the
+        #: reference builder (interpreter and codec splices alike).
         self.sparse_served = 0
         self.reference_fallbacks = 0
         self.programs: dict[str, TypeProgram] = {}
@@ -490,29 +494,14 @@ class MappingProgram:
         self._sparse_cache[key] = ops
         return ops
 
-    def _serve_sparse(self, program: TypeProgram, image: ElementNode,
-                      source_node: ElementNode, kids, id_map: dict,
-                      push, nxt) -> None:
-        """One concat fragment whose shape mismatches the static
-        program: run the per-signature sparse variant at compiled
-        speed, or fall back to the reference builder when the shape
-        cannot compile."""
-        ops = self._sparse_ops(source_node.tag,
-                               tuple(kid.tag for kid in kids))
-        if ops is not None:
-            self.sparse_served += 1
-            self._run(ops, image, kids, None, None, id_map, push, nxt)
-        else:
-            self.reference_fallbacks += 1
-            self._fallback(image, source_node, id_map, push)
-
     def sparse_fragment(self, image: ElementNode,
                         source_node: ElementNode, id_map: dict,
                         ) -> Optional[list]:
         """One concat fragment's hot pairs through the sparse-concat
         plane, or ``None`` when only the reference builder can serve
-        the shape — the single-fragment twin of :meth:`_serve_sparse`
-        used by the generated codecs' fallback splice."""
+        the shape.  Reached only through :meth:`InstMap.fragment_pairs`,
+        the splice entry point of both the interpreter and the
+        generated codecs."""
         program = self.programs.get(source_node.tag)
         if (program is None or program.image != image.tag
                 or program.kind != "concat"):
@@ -578,15 +567,15 @@ class MappingProgram:
                 if len(kids) == len(program.expected):
                     for kid, expected_tag in zip(kids, program.expected):
                         if kid.tag != expected_tag:
-                            self._serve_sparse(program, image, source_node,
-                                               kids, id_map, push, nxt)
                             break
                     else:
                         self._run(program.ops, image, kids, None, None,
                                   id_map, push, nxt)
-                    continue
-                self._serve_sparse(program, image, source_node, kids,
-                                   id_map, push, nxt)
+                        continue
+                # The children mismatch the production: the one splice
+                # entry point (sparse-concat plane or reference builder).
+                hot.extend(self._instmap.fragment_pairs(image, source_node,
+                                                        id_map))
             elif kind == "star":
                 kids = [c for c in source_node.children
                         if isinstance(c, ElementNode)]
@@ -633,13 +622,6 @@ class MappingProgram:
             else:  # empty: children (if any) are ignored, as in the paper
                 self._run(program.ops, image, (), None, None,
                           id_map, push, nxt)
-
-    def _fallback(self, image: ElementNode, source_node: ElementNode,
-                  id_map: dict, push) -> None:
-        """Serve one fragment through the reference builder (documents
-        whose shape the static program does not cover)."""
-        for pair in self._instmap.build_fragment(image, source_node, id_map):
-            push(pair)
 
     def _run(self, ops, root: ElementNode, bind, text_value, text_src,
              id_map: dict, push, nxt, stack: Optional[list] = None) -> None:
@@ -730,178 +712,3 @@ class _SuffixView:
     def __init__(self, info: PathInfo, carrier: int) -> None:
         self.steps = info.path.steps[carrier + 1:]
         self.edges = info.edges[carrier + 1:]
-
-
-# -- compiled inverse ---------------------------------------------------------
-
-class _InverseEdge:
-    """One pre-resolved ``path(A, B)`` for the inverse walk."""
-
-    __slots__ = ("child_type", "steps", "carrier_label", "prefix", "suffix",
-                 "path_str", "prefix_str")
-
-    def __init__(self, child_type: str, info: PathInfo) -> None:
-        self.child_type = child_type
-        #: (label, zero-based same-tag index) per step
-        self.steps = tuple(
-            (step.label, (step.pos or 1) - 1) for step in info.path.steps)
-        self.path_str = str(info.path)
-        self.carrier_label = None
-        self.prefix = ()
-        self.suffix = ()
-        self.prefix_str = ""
-
-
-def _walk_steps(node: ElementNode, steps) -> Optional[ElementNode]:
-    """The reference ``_walk`` without intermediate list building."""
-    current = node
-    for label, index in steps:
-        found = None
-        remaining = index
-        for child in current.children:
-            if isinstance(child, ElementNode) and child.tag == label:
-                if remaining == 0:
-                    found = child
-                    break
-                remaining -= 1
-        if found is None:
-            return None
-        current = found
-    return current
-
-
-class InverseProgram:
-    """Compiled ``σd⁻¹``: per-type step templates, iterative walk.
-
-    Byte-identical to :func:`repro.core.inverse.run_invert` (the
-    reference), including error classes and strict-mode ambiguity
-    checks; exercised by the fast-path equivalence suite.
-    """
-
-    def __init__(self, embedding: SchemaEmbedding, infos: dict) -> None:
-        self.embedding = embedding
-        self.source = embedding.source
-        self.table: dict[str, tuple[str, tuple]] = {}
-        for source_type, production in self.source.elements.items():
-            if isinstance(production, Str):
-                info = infos[(source_type, STR_KEY, 1)]
-                self.table[source_type] = (
-                    "str", (_InverseEdge(STR_KEY, info),))
-            elif isinstance(production, Empty):
-                self.table[source_type] = ("empty", ())
-            elif isinstance(production, Concat):
-                edges = []
-                seen: dict[str, int] = {}
-                for child_type in production.children:
-                    seen[child_type] = seen.get(child_type, 0) + 1
-                    info = infos[(source_type, child_type, seen[child_type])]
-                    edges.append(_InverseEdge(child_type, info))
-                self.table[source_type] = ("concat", tuple(edges))
-            elif isinstance(production, Disjunction):
-                edges = [
-                    _InverseEdge(child_type,
-                                 infos[(source_type, child_type, 1)])
-                    for child_type in production.children]
-                self.table[source_type] = (
-                    "disj", (tuple(edges), production.optional))
-            elif isinstance(production, Star):
-                info = infos[(source_type, production.child, 1)]
-                edge = _InverseEdge(production.child, info)
-                carrier = info.carrier_index
-                edge.prefix = edge.steps[:carrier]
-                edge.prefix_str = str(info.path.prefix(carrier))
-                edge.carrier_label = info.path.steps[carrier].label
-                edge.suffix = edge.steps[carrier + 1:]
-                self.table[source_type] = ("star", edge)
-
-    def apply(self, target_root: ElementNode,
-              strict: bool = True) -> ElementNode:
-        if target_root.tag != self.embedding.target.root:
-            raise InverseError(
-                f"document root <{target_root.tag}> is not the target root "
-                f"<{self.embedding.target.root}>")
-        root = ElementNode(self.source.root)
-        # Preorder DFS with an explicit stack: children are appended to
-        # their (already created) parent in visit order, which preserves
-        # the reference's production-order child lists.
-        stack: list[tuple[ElementNode, str, ElementNode]] = [
-            (target_root, self.source.root, root)]
-        table = self.table
-        while stack:
-            image, source_type, node = stack.pop()
-            kind, payload = table[source_type]
-            if kind == "str":
-                edge = payload[0]
-                holder = _walk_steps(image, edge.steps)
-                if holder is None:
-                    raise InverseError(
-                        f"text path {edge.path_str} missing below "
-                        f"<{image.tag}> (image of {source_type})")
-                value = holder.child_text()
-                if value is None and holder.children:
-                    raise InverseError(
-                        f"text path {edge.path_str} endpoint "
-                        f"<{holder.tag}> holds element content "
-                        f"(image of {source_type})")
-                if value:
-                    node.append(TextNode(value))
-            elif kind == "empty":
-                pass
-            elif kind == "concat":
-                pending = []
-                for edge in payload:
-                    target = _walk_steps(image, edge.steps)
-                    if target is None:
-                        raise InverseError(
-                            f"AND path {edge.path_str} missing below "
-                            f"<{image.tag}> (image of {source_type})")
-                    child = ElementNode(edge.child_type)
-                    node.append(child)
-                    pending.append((target, edge.child_type, child))
-                stack.extend(reversed(pending))
-            elif kind == "disj":
-                edges, optional = payload
-                matches = []
-                for edge in edges:
-                    target = _walk_steps(image, edge.steps)
-                    if target is not None:
-                        matches.append((edge.child_type, target))
-                        if not strict:
-                            break
-                if len(matches) > 1:
-                    raise InverseError(
-                        f"ambiguous disjunction at image of {source_type}: "
-                        f"{[m[0] for m in matches]} all present")
-                if not matches:
-                    if not optional:
-                        raise InverseError(
-                            f"no alternative of {source_type} present below "
-                            f"<{image.tag}>")
-                else:
-                    child_type, target = matches[0]
-                    child = ElementNode(child_type)
-                    node.append(child)
-                    stack.append((target, child_type, child))
-            else:  # star
-                edge = payload
-                parent = _walk_steps(image, edge.prefix)
-                if parent is None:
-                    raise InverseError(
-                        f"STAR path prefix {edge.prefix_str} missing "
-                        f"below <{image.tag}> (image of {source_type})")
-                label = edge.carrier_label
-                pending = []
-                for instance in parent.children:
-                    if not isinstance(instance, ElementNode) \
-                            or instance.tag != label:
-                        continue
-                    target = _walk_steps(instance, edge.suffix)
-                    if target is None:
-                        raise InverseError(
-                            f"STAR path suffix missing under <{label}> "
-                            f"instance (image of {source_type})")
-                    child = ElementNode(edge.child_type)
-                    node.append(child)
-                    pending.append((target, edge.child_type, child))
-                stack.extend(reversed(pending))
-        return root

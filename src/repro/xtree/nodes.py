@@ -120,9 +120,6 @@ class ElementNode(Node):
     def element_children(self) -> list["ElementNode"]:
         return [c for c in self.children if isinstance(c, ElementNode)]
 
-    def text_children(self) -> list[TextNode]:
-        return [c for c in self.children if isinstance(c, TextNode)]
-
     def children_tagged(self, tag: str) -> list["ElementNode"]:
         """Element children with the given tag, in document order."""
         return [c for c in self.children

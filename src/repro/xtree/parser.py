@@ -379,13 +379,6 @@ def parse_xml(source: str, allow_attributes: bool = False,
     return root
 
 
-def parse_fragment(source: str) -> Optional[ElementNode]:
-    """Parse a fragment, returning ``None`` for pure whitespace."""
-    if not source.strip():
-        return None
-    return parse_xml(source)
-
-
 # -- the event loop -----------------------------------------------------------
 # The parser's one lexing loop: parse_xml builds its tree from these
 # events, and the streaming document plane (repro.engine.stream) drives

@@ -2,6 +2,7 @@
 
 import json
 import os
+import signal
 import subprocess
 import sys
 
@@ -375,9 +376,12 @@ def test_cli_non_numeric_att_score_is_clean_error(files, tmp_path,
 
 
 def test_cli_serve_missing_store_is_clean_error(tmp_path, capsys):
+    before = signal.getsignal(signal.SIGTERM)
     code = main(["serve", str(tmp_path / "nowhere")])
     assert code == 2
     assert "nowhere" in _error_line(capsys)
+    # The SIGTERM handler ``serve`` installs does not outlive the call.
+    assert signal.getsignal(signal.SIGTERM) == before
 
 
 def test_cli_no_traceback_in_subprocess(files, tmp_path):

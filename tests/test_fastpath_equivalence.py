@@ -22,7 +22,6 @@ from repro.core.translate import Translator
 from repro.dtd.generate import random_instance
 from repro.engine.codegen import generate_codec
 from repro.engine.parallel import ParallelRunner
-from repro.engine.plan import InverseProgram
 from repro.engine.stream import iter_mapped, stream_map_to_path
 from repro.serve.handlers import ServiceState, dispatch
 from repro.workloads.library import SCHEMA_LIBRARY
@@ -66,9 +65,9 @@ def _assert_equivalent(embedding, instance, queries) -> None:
     assert to_string(fast.tree) == to_string(reference.tree)
     assert _idm_signature(fast) == _idm_signature(reference)
 
-    # Identical inverses, and both recover the source.
-    inverse = InverseProgram(embedding, instmap._infos)
-    recovered_fast = inverse.apply(fast.tree)
+    # The one σd⁻¹ walker inverts the compiled and the reference image
+    # to identical bytes, and both recover the source.
+    recovered_fast = run_invert(embedding, fast.tree)
     recovered_reference = run_invert(embedding, reference.tree)
     assert to_string(recovered_fast) == to_string(recovered_reference)
     assert tree_equal(recovered_fast, instance)
@@ -291,6 +290,26 @@ def test_partial_documents_fall_back_identically(school):
     assert program.sparse_served > 0
 
 
+def test_undeclared_concat_child_counts_one_reference_fallback(school):
+    """A concat child the embedding does not declare reaches the
+    reference builder through ``InstMap.fragment_pairs`` from the
+    interpreter and the codec alike: both raise the reference's
+    ``EmbeddingError`` and count one reference fallback."""
+    xml = ("<db><class><cno>1</cno><bogus/><title>t</title>"
+           "<type><project>p</project></type></class></db>")
+    instmap = InstMap(school.sigma1)
+    program = instmap._program
+    expected = _raised(instmap.apply_reference, parse_xml(xml))
+    assert expected == (
+        "instance edge (class, bogus, occ 1) is not covered by the "
+        "embedding (document does not conform to the source schema)")
+    for run in (lambda: instmap.apply(parse_xml(xml)),
+                lambda: instmap.codec.map_text(xml)):
+        before = program.reference_fallbacks
+        assert _raised(run) == expected
+        assert program.reference_fallbacks == before + 1
+
+
 def _mutate_partial(document, rng):
     """Deterministically drop and shuffle element children: every
     resulting instance-edge key stays declared (occurrence counts only
@@ -313,15 +332,15 @@ def _mutate_partial(document, rng):
     return mutated, changed
 
 
-def _inverse_parity(embedding, instmap, fast, reference) -> None:
-    """σd⁻¹ on a partial image either succeeds with identical bytes on
-    the compiled and reference paths, or refuses with identical error
-    text (dropped children can leave no holder to invert)."""
+def _inverse_parity(embedding, fast, reference) -> None:
+    """σd⁻¹ of a partial document's compiled and reference images
+    either succeeds with identical bytes on both, or refuses with
+    identical error text (dropped children can leave no holder to
+    invert)."""
     from repro.core.errors import InverseError
 
-    inverse = InverseProgram(embedding, instmap._infos)
     try:
-        fast_inverse = to_string(inverse.apply(fast.tree))
+        fast_inverse = to_string(run_invert(embedding, fast.tree))
     except InverseError as error:
         with pytest.raises(InverseError) as reference_error:
             run_invert(embedding, reference.tree)
@@ -359,7 +378,7 @@ def test_partial_document_corpora_sparse_identical(name):
         # Declared-edge shapes never reach the reference builder.
         assert program.reference_fallbacks == before, \
             f"reference fallback on a declared shape (seed {seed})"
-        _inverse_parity(expansion.embedding, instmap, fast, reference)
+        _inverse_parity(expansion.embedding, fast, reference)
         # The generated codec's splice path serves the same bytes.
         assert codec.map_tree(mutated) == to_string(reference.tree)
         served_any |= changed

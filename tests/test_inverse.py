@@ -2,15 +2,20 @@
 
 import pytest
 
+from repro.cli import embedding_to_json, main
 from repro.core.errors import InverseError
 from repro.core.instmap import InstMap
-from repro.core.inverse import invert
+from repro.core.inverse import invert, run_invert
 from repro.core.inverse_queries import invert_via_queries
 from repro.dtd.generate import random_instance
+from repro.dtd.serialize import dtd_to_text
+from repro.engine.session import Engine
+from repro.serve.handlers import ServiceState, dispatch
 from repro.workloads.noise import expand_schema
 from repro.workloads.library import SCHEMA_LIBRARY
 from repro.xtree.nodes import elem, tree_equal
 from repro.xtree.parser import parse_xml
+from repro.xtree.serialize import to_string
 
 
 def test_roundtrip_school_example(school):
@@ -113,3 +118,87 @@ def test_inverse_preserves_pcdata_verbatim(school):
     recovered = invert(school.sigma1, mapped.tree)
     cno = recovered.children_tagged("class")[0].children_tagged("cno")[0]
     assert cno.child_text() == "  spaces & symbols  "
+
+
+# -- σd⁻¹ error bytes, pinned on every surface ---------------------------------
+
+SCHOOL_DOCUMENT = ("<db><class><cno>1</cno><title>t</title>"
+                   "<type><project>p</project></type></class></db>")
+BIB_DOCUMENT = ("<bib><entry><book><title>T</title><authors><author>A"
+                "</author></authors><publisher>P</publisher><year>2005"
+                "</year></book></entry></bib>")
+
+#: (pair, source document, text replaced in its compact mapped image,
+#: replacement, the InverseError text) — one row per message of
+#: ``repro.core.inverse``.
+INVERSE_ERRORS = (
+    ("school", SCHOOL_DOCUMENT, "school>", "schule>",
+     "document root <schule> is not the target root <school>"),
+    ("school", SCHOOL_DOCUMENT, "<cno>1</cno>", "",
+     "AND path basic/cno missing below <course> (image of class)"),
+    ("school", SCHOOL_DOCUMENT, "<cno>1</cno>", "<cno><b/></cno>",
+     "text path text() endpoint <cno> holds element content "
+     "(image of cno)"),
+    ("school", SCHOOL_DOCUMENT, "</advanced>",
+     "</advanced><mandatory><regular/></mandatory>",
+     "ambiguous disjunction at image of type: ['regular', 'project'] "
+     "all present"),
+    ("school", SCHOOL_DOCUMENT, "<advanced><project>p</project></advanced>",
+     "", "no alternative of type present below <category>"),
+    ("school", SCHOOL_DOCUMENT, "current>", "currant>",
+     "STAR path prefix courses/current missing below <school> "
+     "(image of db)"),
+    ("bib", BIB_DOCUMENT, "<strleaf35>T</strleaf35>", "",
+     "text path w36/strleaf35/text() missing below <title> "
+     "(image of title)"),
+    ("bib", BIB_DOCUMENT, "entry>", "entree>",
+     "STAR path suffix missing under <inst1> instance (image of bib)"),
+)
+
+
+def _pair(name: str, school):
+    if name == "school":
+        return school.sigma1
+    return expand_schema(SCHEMA_LIBRARY[name](), seed=5).embedding
+
+
+@pytest.mark.parametrize("name,document,old,new,expected", INVERSE_ERRORS)
+def test_inverse_error_bytes_on_every_surface(name, document, old, new,
+                                              expected, school, tmp_path,
+                                              capsys):
+    """A corrupted image raises the same ``InverseError`` text from
+    ``run_invert``, ``Engine.invert``, ``/v1/invert`` and
+    ``repro invert``."""
+    sigma = _pair(name, school)
+    mapped = to_string(InstMap(sigma).apply(parse_xml(document)).tree,
+                       indent=None)
+    assert old in mapped
+    corrupted = mapped.replace(old, new)
+
+    with pytest.raises(InverseError) as walked:
+        run_invert(sigma, parse_xml(corrupted))
+    assert str(walked.value) == expected
+
+    with pytest.raises(InverseError) as engine_error:
+        Engine().invert(sigma, parse_xml(corrupted))
+    assert str(engine_error.value) == expected
+
+    state = ServiceState.from_embedding(sigma)
+    status, payload = dispatch(state, "POST", "/v1/invert",
+                               {"xml": corrupted})
+    assert status == 200
+    assert payload["result"]["error"] == f"InverseError: {expected}"
+
+    paths = []
+    for file_name, text in (("source.dtd", dtd_to_text(sigma.source)),
+                            ("target.dtd", dtd_to_text(sigma.target)),
+                            ("sigma.json", embedding_to_json(sigma)),
+                            ("mapped.xml", corrupted)):
+        path = tmp_path / file_name
+        path.write_text(text)
+        paths.append(str(path))
+    capsys.readouterr()
+    assert main(["invert", *paths]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"repro: error: {expected}\n"
